@@ -15,7 +15,6 @@ from dpcolor import (
     PhiMap,
     Side,
     all_covers,
-    brute_force_color,
     conflict_degrees,
     exhaustive_color,
     greedy_color,
@@ -39,9 +38,8 @@ for sides in [(Side.RICH, Side.RICH), (Side.RICH, Side.POOR),
     ok = is_valid_coloring(triple, cover, phi, DefectParams(0, 1))
     print(f"  map {phi.letters()}: conflicts {conf}, valid for (0,1): {ok}")
 
-# The solver agrees: no map works for this cover, and brute force concurs.
+# The solver agrees: no map works for this cover.
 print("exhaustive:", exhaustive_color(triple, cover, DefectParams(0, 1)))
-print("brute force:", brute_force_color(triple, cover, DefectParams(0, 1)))
 
 # Colorability quantifies over every cover. The triple edge fails at (0,1):
 # the witness is the lexicographically first refusing parity vector.

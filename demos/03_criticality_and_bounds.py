@@ -25,7 +25,7 @@ cases = [
 ]
 
 for name, g, params in cases:
-    crit = is_critical(g, params, threads=2)
+    crit = is_critical(g, params)
     print(f"{name:14} ({params.i},{params.j})-critical: {crit}")
 
 # check_bounds compares a (presumed critical) graph against its regime bound

@@ -2,8 +2,8 @@
 
 Exit codes: 0 = query answered (either way), 1 = verification failure in
 ``verify``, 2 = usage, parse, or budget error. All reports are line-oriented
-and deterministic; ``--threads`` never changes the output, only who computes
-it.
+and deterministic. Every computation runs on one thread; ``--threads`` is
+accepted for compatibility with older scripts and changes nothing.
 """
 
 from __future__ import annotations
@@ -68,7 +68,12 @@ def _add_shared(sp: argparse.ArgumentParser, *, lists: bool = False) -> None:
         help="refuse per-vertex enumerations beyond this many vertices "
         "(defaults to each operation's own limit)",
     )
-    sp.add_argument("--threads", type=int, default=1, help="worker pool size")
+    sp.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; dpcolor computes on one thread",
+    )
 
 
 def _int_list(text: str) -> list[int]:
@@ -176,9 +181,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_colorable(args) -> int:
     g, t = _load(args)
-    ok, witness = is_colorable(
-        g, _params(args), t, max_covers=_max_covers(args), threads=args.threads
-    )
+    ok, witness = is_colorable(g, _params(args), t, max_covers=_max_covers(args))
     if ok:
         print("COLORABLE")
     else:
@@ -189,7 +192,7 @@ def _cmd_colorable(args) -> int:
 
 def _cmd_critical(args) -> int:
     g, t = _load(args)
-    ok = is_critical(g, _params(args), t, max_covers=_max_covers(args), threads=args.threads)
+    ok = is_critical(g, _params(args), t, max_covers=_max_covers(args))
     print("CRITICAL" if ok else "NOT CRITICAL")
     return 0
 
@@ -197,11 +200,8 @@ def _cmd_critical(args) -> int:
 def _cmd_potential(args) -> int:
     g, t = _load(args)
     params = _params(args)
-    r = regime(params)
-    if t is None:
-        t = Toughness.zero_pairs(g.n) if r is Regime.I_PLUS_ONE else Toughness.zero(g.n)
     value, argmin = rho_graph(g, params, t, max_vertices=_max_n(args, POTENTIAL_MAX_VERTICES))
-    print(f"regime {r.value}")
+    print(f"regime {regime(params).value}")
     print(f"rho {value}")
     print(f"argmin {' '.join(str(v) for v in sorted(argmin))}")
     return 0
@@ -214,7 +214,6 @@ def _cmd_fdp(args) -> int:
         args.max_edges,
         max_vertices=_max_n(args, SEARCH_MAX_VERTICES),
         max_covers=_max_covers(args),
-        threads=args.threads,
     )
     if found is None:
         print("NONE")
@@ -239,7 +238,7 @@ def _cmd_sparsity(args) -> int:
     return 0
 
 
-def _verify_cell(inst, max_covers: int, max_n: int, threads: int) -> dict[str, str]:
+def _verify_cell(inst, max_covers: int, max_n: int) -> dict[str, str]:
     params = inst.params
     g = inst.graph
     cells: dict[str, str] = {}
@@ -259,17 +258,15 @@ def _verify_cell(inst, max_covers: int, max_n: int, threads: int) -> dict[str, s
     if (1 << len(g.edges)) > max_covers or g.n > max_n:
         cells["critical"] = "SKIP"
     else:
-        ok = is_critical(g, params, max_covers=max_covers, threads=threads)
+        ok = is_critical(g, params, max_covers=max_covers)
         cells["critical"] = "PASS" if ok else "FAIL"
 
-    r = regime(params)
-    if r is Regime.EQUAL:
+    if regime(params) is Regime.EQUAL:
         cells["potential"] = "-"
     elif g.n > max_n:
         cells["potential"] = "SKIP"
     else:
-        t = Toughness.zero_pairs(g.n) if r is Regime.I_PLUS_ONE else Toughness.zero(g.n)
-        value, _ = rho_graph(g, params, t, max_vertices=max_n)
+        value, _ = rho_graph(g, params, max_vertices=max_n)
         cells["potential"] = "PASS" if value <= potential_threshold(params) else "FAIL"
     return cells
 
@@ -288,7 +285,7 @@ def _cmd_verify(args) -> int:
         for j in j_list:
             for m in m_list:
                 inst = build_family(family, i, j, m)
-                cells = _verify_cell(inst, max_covers, _max_n(args, DEFAULT_MAX_N), args.threads)
+                cells = _verify_cell(inst, max_covers, _max_n(args, DEFAULT_MAX_N))
                 rows += 1
                 failures += sum(1 for v in cells.values() if v == "FAIL")
                 skips += sum(1 for v in cells.values() if v == "SKIP")

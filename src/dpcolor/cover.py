@@ -36,7 +36,6 @@ class Side(IntEnum):
 
 
 _PARITY_FROM_LETTER = {"E": Parity.EVEN, "O": Parity.ODD}
-_SIDE_FROM_LETTER = {"R": Side.RICH, "P": Side.POOR}
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,6 @@ class PhiMap:
 
     def letters(self) -> str:
         return "".join(s.letter for s in self.sides)
-
-
-def side_from_letter(letter: str) -> Side:
-    try:
-        return _SIDE_FROM_LETTER[letter]
-    except KeyError:
-        raise ValueError(f"side must be 'P' or 'R', got {letter!r}") from None
 
 
 def edge_conflicts(parity: Parity, side_u: Side, side_v: Side) -> bool:

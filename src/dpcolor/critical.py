@@ -28,7 +28,6 @@ def is_critical(
     t: Toughness | None = None,
     *,
     max_covers: int = DEFAULT_MAX_COVERS,
-    threads: int = 1,
 ) -> bool:
     """Not colorable, but colorable after deleting any single edge.
 
@@ -38,13 +37,11 @@ def is_critical(
     """
     if any(g.degree(v) == 0 for v in range(g.n)):
         return False
-    colorable, _ = is_colorable(g, params, t, max_covers=max_covers, threads=threads)
+    colorable, _ = is_colorable(g, params, t, max_covers=max_covers)
     if colorable:
         return False
     for e in range(len(g.edges)):
-        ok, _ = is_colorable(
-            g.delete_edge(e), params, t, max_covers=max_covers, threads=threads
-        )
+        ok, _ = is_colorable(g.delete_edge(e), params, t, max_covers=max_covers)
         if not ok:
             return False
     return True
@@ -75,8 +72,7 @@ def check_bounds(g: Multigraph, params: DefectParams, *, max_vertices: int = 24)
     rho_thr: int | None = None
     rho_ok: bool | None = None
     if r in (Regime.ZERO_J, Regime.LARGE, Regime.MID, Regime.I_PLUS_ONE):
-        t = Toughness.zero_pairs(g.n) if r is Regime.I_PLUS_ONE else Toughness.zero(g.n)
-        rho_val, _ = rho_graph(g, params, t, max_vertices=max_vertices)
+        rho_val, _ = rho_graph(g, params, max_vertices=max_vertices)
         rho_thr = potential_threshold(params)
         rho_ok = rho_val <= rho_thr
     return BoundsReport(
@@ -99,7 +95,6 @@ def fdp_search(
     *,
     max_vertices: int = DEFAULT_MAX_SEARCH_VERTICES,
     max_covers: int = DEFAULT_MAX_COVERS,
-    threads: int = 1,
 ) -> tuple[int, Multigraph] | None:
     """Smallest edge count of an n-vertex critical multigraph, with a witness.
 
@@ -118,6 +113,6 @@ def fdp_search(
     for e in range(floor, max_edges + 1):
         for combo in combinations_with_replacement(pairs, e):
             g = Multigraph(n, combo)
-            if is_critical(g, params, t, max_covers=max_covers, threads=threads):
+            if is_critical(g, params, t, max_covers=max_covers):
                 return e, g
     return None

@@ -123,11 +123,6 @@ class Multigraph:
     def add_edge(self, u: int, v: int) -> Multigraph:
         return Multigraph(self.n, self.edges + ((u, v),))
 
-    def add_vertices(self, count: int = 1) -> Multigraph:
-        if count < 0:
-            raise ValueError("cannot remove vertices")
-        return Multigraph(self.n + count, self.edges)
-
     def induced_subgraph(self, s: Iterable[int]) -> tuple[Multigraph, tuple[int, ...]]:
         """Subgraph on vertex set s, relabeled densely.
 

@@ -121,11 +121,14 @@ def rho_set(g: Multigraph, params: DefectParams, t: Toughness, s: Iterable[int])
 def rho_graph(
     g: Multigraph,
     params: DefectParams,
-    t: Toughness,
+    t: Toughness | None = None,
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> tuple[int, frozenset[int]]:
     """Minimum potential over all nonempty vertex subsets, with its argmin.
+
+    Without t, every vertex has zero toughness: pairs in the j = i + 1
+    regime, scalars otherwise.
 
     Ties break to the lexicographically smallest subset (as a sorted id
     tuple), so the answer is independent of enumeration strategy. The empty
@@ -136,6 +139,9 @@ def rho_graph(
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
     if g.n == 0:
         raise ValueError("potential of the empty graph is undefined")
+    if t is None:
+        pairs = regime(params) is Regime.I_PLUS_ONE
+        t = Toughness.zero_pairs(g.n) if pairs else Toughness.zero(g.n)
     t.check(params, g.n)
     coeff = _edge_coefficient(params)
     per_vertex = [rho_vertex(params, t, v) for v in range(g.n)]

@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from typing import Iterable, Sequence
 
-from .cover import (
-    DEFAULT_MAX_COVERS,
-    Cover,
-    PhiMap,
-    Side,
-    cover_from_index,
-    is_valid_coloring,
-)
+from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, Side, _check_cover
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 
 DEFAULT_MAX_VERTICES = 32
@@ -105,27 +98,12 @@ def exhaustive_color(
     """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
-    if len(c.parities) != len(g.edges):
-        raise ValueError(f"cover indexes {len(c.parities)} edges, graph has {len(g.edges)}")
+    _check_cover(g, c)
     search, _ = _prepared(g, params, t)
     sides = search.run([int(p) for p in c.parities])
     if sides is None:
         return None
     return PhiMap(tuple(Side(s) for s in sides))
-
-
-def brute_force_color(
-    g: Multigraph,
-    c: Cover,
-    params: DefectParams,
-    t: Toughness | None = None,
-) -> PhiMap | None:
-    """Reference scan over all 2^n side vectors in mask order (bit v set = poor)."""
-    for mask in range(1 << g.n):
-        phi = PhiMap(tuple(Side((mask >> v) & 1) for v in range(g.n)))
-        if is_valid_coloring(g, c, phi, params, t):
-            return phi
-    return None
 
 
 def greedy_color(g: Multigraph, c: Cover, i: int) -> PhiMap | None:
@@ -141,8 +119,7 @@ def greedy_color(g: Multigraph, c: Cover, i: int) -> PhiMap | None:
     """
     if i < 0:
         raise ValueError("defect bound i must be non-negative")
-    if len(c.parities) != len(g.edges):
-        raise ValueError(f"cover indexes {len(c.parities)} edges, graph has {len(g.edges)}")
+    _check_cover(g, c)
     bits = [int(p) for p in c.parities]
     incident = g.incidence()
     sides = [0] * g.n
@@ -173,40 +150,21 @@ def is_colorable(
     t: Toughness | None = None,
     *,
     max_covers: int = DEFAULT_MAX_COVERS,
-    threads: int = 1,
 ) -> tuple[bool, Cover | None]:
     """Whether every cover admits a coloring.
 
     Returns (True, None), or (False, w) where w is the lexicographically
-    first cover with no coloring. Workers scan disjoint index ranges and the
-    reduction keeps the smallest failing index, so the witness does not
-    depend on the thread count.
+    first cover with no coloring: covers are scanned in lex order (edge 0
+    most significant, E < O) and the scan stops at the first failure.
     """
     m = len(g.edges)
     if (1 << m) > max_covers:
         raise BudgetError(f"2^{m} covers exceed the limit of {max_covers}")
     search, _ = _prepared(g, params, t)
-    total = 1 << m
-
-    def first_failure(lo: int, hi: int) -> int | None:
-        for k in range(lo, hi):
-            bits = [(k >> (m - 1 - e)) & 1 for e in range(m)]
-            if search.run(bits) is None:
-                return k
-        return None
-
-    if threads <= 1 or total <= 1:
-        bad = first_failure(0, total)
-    else:
-        workers = min(threads, total)
-        step = -(-total // workers)
-        ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: first_failure(*r), ranges))
-        bad = min((r for r in results if r is not None), default=None)
-    if bad is None:
-        return True, None
-    return False, cover_from_index(m, bad)
+    for bits in product((0, 1), repeat=m):
+        if search.run(bits) is None:
+            return False, Cover(bits)
+    return True, None
 
 
 def partition_witness(g: Multigraph, i: int, a_set: Iterable[int]) -> int | None:

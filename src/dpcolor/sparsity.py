@@ -59,7 +59,6 @@ def guarantee_implies_colorable(
     *,
     max_covers: int = DEFAULT_MAX_COVERS,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    threads: int = 1,
 ) -> bool:
     """Test oracle: a guarantee-passing graph must be colorable over all covers.
 
@@ -67,8 +66,6 @@ def guarantee_implies_colorable(
     the sparsity scan; property suites hammer this on random inputs.
     """
     if sparsity_guarantee(g, params, max_vertices=max_vertices):
-        ok, _ = is_colorable(
-            g, params, Toughness.zero(g.n), max_covers=max_covers, threads=threads
-        )
+        ok, _ = is_colorable(g, params, Toughness.zero(g.n), max_covers=max_covers)
         return ok
     return True

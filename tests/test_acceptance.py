@@ -147,7 +147,7 @@ CRITICAL_CASES = [
 def test_criterion_3_criticality():
     def body():
         for name, g, params in CRITICAL_CASES:
-            assert is_critical(g, params, threads=2), name
+            assert is_critical(g, params), name
 
     _criterion("3 criticality", body)
 

@@ -14,6 +14,7 @@ from dpcolor import (
     Regime,
     Toughness,
     build_equal,
+    build_iplusone,
     build_zeroj,
     edge_bound,
     potential_threshold,
@@ -136,6 +137,16 @@ class TestRhoGraph:
             inst.graph.n, list(inst.graph.edges), [1] * inst.graph.n, 1
         )
         assert (value, tuple(sorted(argmin))) == expect
+
+    def test_toughness_defaults_to_the_regime_zero(self):
+        z = build_zeroj(1, 2)
+        assert rho_graph(z.graph, z.params) == rho_graph(
+            z.graph, z.params, Toughness.zero(z.graph.n)
+        )
+        ip = build_iplusone(1, 0)
+        assert rho_graph(ip.graph, ip.params) == rho_graph(
+            ip.graph, ip.params, Toughness.zero_pairs(ip.graph.n)
+        )
 
     def test_equal_regime_rejected(self):
         inst = build_equal(1, 1)

@@ -14,7 +14,6 @@ from dpcolor import (
     Parity,
     PhiMap,
     Toughness,
-    brute_force_color,
     build_equal,
     build_large,
     build_zeroj,
@@ -69,8 +68,10 @@ class TestExhaustive:
 def test_exhaustive_agrees_with_brute_force(pair, params):
     g, c = pair
     fast = exhaustive_color(g, c, params)
-    slow = brute_force_color(g, c, params)
-    assert (fast is None) == (slow is None)
+    slow = oracles.cover_colorable(
+        g.n, list(g.edges), [int(p) for p in c.parities], params.i, params.j
+    )
+    assert (fast is not None) == slow
     if fast is not None:
         assert is_valid_coloring(g, c, fast, params)
 
@@ -83,8 +84,10 @@ def test_exhaustive_respects_toughness(pair, ij, data):
         data.draw(st.lists(st.integers(0, params.j + 1), min_size=g.n, max_size=g.n))
     )
     fast = exhaustive_color(g, c, params, t)
-    slow = brute_force_color(g, c, params, t)
-    assert (fast is None) == (slow is None)
+    slow = oracles.cover_colorable(
+        g.n, list(g.edges), [int(p) for p in c.parities], params.i, params.j, t.poor, t.rich
+    )
+    assert (fast is not None) == slow
     if fast is not None:
         assert is_valid_coloring(g, c, fast, params, t)
 
@@ -169,12 +172,6 @@ class TestIsColorable:
             ok, witness = is_colorable(inst.graph, inst.params)
             assert not ok
             assert cover_index(witness) <= cover_index(inst.bad_cover)
-
-    def test_thread_counts_agree(self):
-        for threads in (1, 2, 8):
-            ok, witness = is_colorable(TRIPLE, DefectParams(0, 1), threads=threads)
-            assert not ok
-            assert witness.letters() == "EEO"
 
     def test_budget(self):
         with pytest.raises(BudgetError):
