@@ -42,7 +42,7 @@ from .solver import (
     greedy_color,
     is_colorable,
 )
-from .sparsity import DEFAULT_MAX_VERTICES as SPARSITY_MAX_VERTICES, violating_subset
+from .sparsity import violating_subset
 
 DEFAULT_MAX_N = 24
 VERIFY_MAX_COVERS = 2**12
@@ -229,7 +229,7 @@ def _cmd_fdp(args) -> int:
 def _cmd_sparsity(args) -> int:
     g, _ = _load(args)
     params = _params(args)
-    bad = violating_subset(g, params, max_vertices=_max_n(args, SPARSITY_MAX_VERTICES))
+    bad = violating_subset(g, params, max_vertices=_max_n(args, POTENTIAL_MAX_VERTICES))
     if bad is None:
         print("GUARANTEE")
     else:

@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement
 from .cover import DEFAULT_MAX_COVERS
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 from .potential import (
+    DEFAULT_MAX_VERTICES,
     Regime,
     edge_bound,
     potential_threshold,
@@ -62,7 +63,9 @@ class BoundsReport:
     rho_ok: bool | None
 
 
-def check_bounds(g: Multigraph, params: DefectParams, *, max_vertices: int = 24) -> BoundsReport:
+def check_bounds(
+    g: Multigraph, params: DefectParams, *, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> BoundsReport:
     """Compare edge count to the regime bound and, where defined, the potential
     of the untoughened graph to its critical threshold."""
     bound = edge_bound(params, g.n)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 
@@ -90,12 +90,7 @@ def rho_vertex(params: DefectParams, t: Toughness, v: int) -> int:
     if r in _SCALAR_REGIMES:
         if t.is_refined:
             raise ValueError(f"regime {r.value} requires scalar toughness")
-        tv = t.poor[v]
-        if r is Regime.ZERO_J:
-            return 1 - tv
-        if r is Regime.LARGE:
-            return 2 * params.i + 1 - tv
-        return 2 * params.j - 2 * tv
+        return weight_w(params, t.poor[v])
     if r is Regime.I_PLUS_ONE:
         if not t.is_refined:
             raise ValueError("regime i_plus_one requires refined toughness")
@@ -116,6 +111,31 @@ def rho_set(g: Multigraph, params: DefectParams, t: Toughness, s: Iterable[int])
     total = sum(rho_vertex(params, t, v) for v in members)
     internal = sum(1 for u, w in g.edges if u in members and w in members)
     return total - coeff * internal
+
+
+def _subset_values(g: Multigraph, weights: list[int], coeff: int) -> Iterator[tuple[int, int]]:
+    """Yield (mask, sum(weights[S]) - coeff * |E(G[S])|) for every nonempty S, masks ascending.
+
+    Binary counting moves two vertices per step on average. gain[v], what adding v to S would
+    add now, is kept current per edge instance, so no value is recomputed and memory is O(n + |E|).
+    """
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, w in g.edges:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    gain = list(weights)
+    val = 0
+    for mask in range(1, 1 << g.n):
+        v = 0
+        while not mask >> v & 1:  # the trailing ones of mask - 1 leave S
+            for u in nbrs[v]:
+                gain[u] += coeff
+            val -= gain[v]
+            v += 1
+        val += gain[v]
+        for u in nbrs[v]:
+            gain[u] -= coeff
+        yield mask, val
 
 
 def rho_graph(
@@ -147,21 +167,11 @@ def rho_graph(
     per_vertex = [rho_vertex(params, t, v) for v in range(g.n)]
     best_val: int | None = None
     best_key: tuple[int, ...] = ()
-    for mask in range(1, 1 << g.n):
-        val = 0
-        for v in range(g.n):
-            if mask >> v & 1:
-                val += per_vertex[v]
-        for u, w in g.edges:
-            if mask >> u & 1 and mask >> w & 1:
-                val -= coeff
-        if best_val is None or val < best_val:
-            best_val = val
-            best_key = tuple(v for v in range(g.n) if mask >> v & 1)
-        elif val == best_val:
+    for mask, val in _subset_values(g, per_vertex, coeff):
+        if best_val is None or val <= best_val:
             key = tuple(v for v in range(g.n) if mask >> v & 1)
-            if key < best_key:
-                best_key = key
+            if best_val is None or val < best_val or key < best_key:
+                best_val, best_key = val, key
     assert best_val is not None
     return best_val, frozenset(best_key)
 

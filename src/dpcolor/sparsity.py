@@ -9,26 +9,24 @@ from __future__ import annotations
 
 from .cover import DEFAULT_MAX_COVERS
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
-from .potential import Regime, regime
+from .potential import DEFAULT_MAX_VERTICES, Regime, _subset_values, regime
 from .solver import is_colorable
 
-DEFAULT_MAX_VERTICES = 20
 
-
-def _within_bound(params: DefectParams, nv: int, ne: int) -> bool:
-    """The regime's per-subgraph inequality on (|V(H)|, |E(H)|), exact arithmetic."""
+def _inequality(params: DefectParams) -> tuple[int, int, int]:
+    """The regime's per-subgraph inequality a|V(H)| - b|E(H)| >= c, as (a, b, c)."""
     i, j = params.i, params.j
     r = regime(params)
     if r is Regime.ZERO_J:
-        return ne <= nv + j - 1
+        return 1, 1, 1 - j
     if r is Regime.LARGE:
-        return (i + 1) * ne <= (2 * i + 1) * nv - (2 * i - j + 2)
+        return 2 * i + 1, i + 1, 2 * i - j + 2
     if r is Regime.MID:
-        return (j + 1) * ne <= 2 * j * nv + 1
+        return 2 * j, j + 1, -1
     if r is Regime.I_PLUS_ONE:
-        return (i * i + 3 * i + 1) * ne <= (2 * i * i + 4 * i + 1) * nv
+        return 2 * i * i + 4 * i + 1, i * i + 3 * i + 1, 0
     if r is Regime.EQUAL:
-        return (i + 2) * ne <= (2 * i + 2) * nv - 1
+        return 2 * i + 2, i + 2, 1
     raise ValueError("no sparsity guarantee for (0, 0)")
 
 
@@ -38,10 +36,9 @@ def violating_subset(
     """First vertex subset whose induced counts break the inequality, or None."""
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
-    for mask in range(1, 1 << g.n):
-        nv = bin(mask).count("1")
-        ne = sum(1 for u, w in g.edges if mask >> u & 1 and mask >> w & 1)
-        if not _within_bound(params, nv, ne):
+    a, b, c = _inequality(params)
+    for mask, val in _subset_values(g, [a] * g.n, b):
+        if val < c:
             return frozenset(v for v in range(g.n) if mask >> v & 1)
     return None
 

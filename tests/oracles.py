@@ -8,6 +8,7 @@ code, so tests can cross-check the fast paths against a second route.
 from __future__ import annotations
 
 from itertools import product
+from typing import Callable
 
 
 def conflict_counts(
@@ -100,3 +101,17 @@ def subset_potential_minimum(
             best_set = members
     assert best_val is not None
     return best_val, best_set
+
+
+def first_violating_subset(
+    n: int,
+    edges: list[tuple[int, int]],
+    within: Callable[[int, int], bool],
+) -> tuple[int, ...] | None:
+    """First vertex set, in numeric mask order, whose (|V|, |E|) counts fail within."""
+    for mask in range(1, 1 << n):
+        members = tuple(v for v in range(n) if mask >> v & 1)
+        ne = sum(1 for u, w in edges if u in members and w in members)
+        if not within(len(members), ne):
+            return members
+    return None

@@ -154,7 +154,7 @@ class TestRhoGraph:
             rho_graph(inst.graph, inst.params, Toughness.zero(inst.graph.n))
 
 
-@given(multigraphs(max_n=5, max_edges=6), st.sampled_from([(0, 1), (1, 3), (2, 4), (1, 2)]), st.data())
+@given(multigraphs(max_n=7, max_edges=9), st.sampled_from([(0, 1), (1, 3), (2, 4), (1, 2)]), st.data())
 def test_rho_set_matches_oracle_on_random_subsets(g, ij, data):
     params = DefectParams(*ij)
     if regime(params) is Regime.I_PLUS_ONE:

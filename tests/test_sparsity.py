@@ -1,25 +1,39 @@
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from conftest import defect_params, multigraphs
 from dpcolor import (
     BudgetError,
     DefectParams,
     Multigraph,
+    Regime,
     build_equal,
     build_iplusone,
     build_large,
     build_mid,
     build_zeroj,
     guarantee_implies_colorable,
+    regime,
     sparsity_guarantee,
     violating_subset,
 )
 
 P01 = DefectParams(0, 1)
+
+# Each regime's inequality on (|V(H)|, |E(H)|), written out independently of the package.
+WITHIN = {
+    Regime.ZERO_J: lambda i, j, nv, ne: ne <= nv + j - 1,
+    Regime.LARGE: lambda i, j, nv, ne: (i + 1) * ne <= (2 * i + 1) * nv - (2 * i - j + 2),
+    Regime.MID: lambda i, j, nv, ne: (j + 1) * ne <= 2 * j * nv + 1,
+    Regime.I_PLUS_ONE: lambda i, j, nv, ne: (i * i + 3 * i + 1) * ne <= (2 * i * i + 4 * i + 1) * nv,
+    Regime.EQUAL: lambda i, j, nv, ne: (i + 2) * ne <= (2 * i + 2) * nv - 1,
+}
 
 
 class TestGuarantee:
@@ -79,3 +93,18 @@ def test_guarantee_is_monotone_under_subgraphs(g, params):
 @given(multigraphs(max_n=5, max_edges=6), defect_params(include_zero_zero=False), st.none())
 def test_guarantee_oracle_holds_on_small_random_graphs(g, params, _):
     assert guarantee_implies_colorable(g, params)
+
+
+@pytest.mark.parametrize(
+    "ij", [(0, 1), (0, 3), (1, 3), (2, 6), (2, 4), (3, 5), (1, 2), (2, 3), (1, 1), (2, 2)]
+)
+@given(g=multigraphs(max_n=7, max_edges=14))
+# A 5-cycle with two chords: 7|V| - 5|E| is 0 on the whole graph and positive on every proper
+# subset, so (1, 2) holds with equality, a boundary that random draws almost never reach.
+@example(g=Multigraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (0, 3))))
+def test_violating_subset_matches_oracle(g, ij):
+    params = DefectParams(*ij)
+    within = partial(WITHIN[regime(params)], *ij)
+    expect = oracles.first_violating_subset(g.n, list(g.edges), within)
+    got = violating_subset(g, params)
+    assert (None if got is None else tuple(sorted(got))) == expect
