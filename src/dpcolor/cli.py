@@ -15,6 +15,7 @@ from fractions import Fraction
 from .constructions import FAMILIES, CountMismatch, build_family
 from .cover import DEFAULT_MAX_COVERS, load_cover, save_cover
 from .critical import (
+    DEFAULT_MAX_SEARCH_EDGES,
     DEFAULT_MAX_SEARCH_VERTICES as SEARCH_MAX_VERTICES,
     fdp_search,
     is_critical,
@@ -29,8 +30,8 @@ from .graph import (
     save_graph,
 )
 from .potential import (
+    _POTENTIAL_REGIMES,
     DEFAULT_MAX_VERTICES as POTENTIAL_MAX_VERTICES,
-    Regime,
     edge_bound,
     potential_threshold,
     regime,
@@ -44,7 +45,6 @@ from .solver import (
 )
 from .sparsity import violating_subset
 
-DEFAULT_MAX_N = 24
 VERIFY_MAX_COVERS = 2**12
 
 
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fdp = sub.add_parser("fdp", help="mine the minimum critical edge count")
     fdp.add_argument("--n", type=int, required=True, help="vertex count")
-    fdp.add_argument("--max-edges", type=int, default=10)
+    fdp.add_argument("--max-edges", type=int, default=DEFAULT_MAX_SEARCH_EDGES)
     _add_shared(fdp)
 
     _add_shared(sub.add_parser("sparsity", help="check the colorability guarantee"))
@@ -261,7 +261,7 @@ def _verify_cell(inst, max_covers: int, max_n: int) -> dict[str, str]:
         ok = is_critical(g, params, max_covers=max_covers)
         cells["critical"] = "PASS" if ok else "FAIL"
 
-    if regime(params) is Regime.EQUAL:
+    if regime(params) not in _POTENTIAL_REGIMES:
         cells["potential"] = "-"
     elif g.n > max_n:
         cells["potential"] = "SKIP"
@@ -285,7 +285,7 @@ def _cmd_verify(args) -> int:
         for j in j_list:
             for m in m_list:
                 inst = build_family(family, i, j, m)
-                cells = _verify_cell(inst, max_covers, _max_n(args, DEFAULT_MAX_N))
+                cells = _verify_cell(inst, max_covers, _max_n(args, POTENTIAL_MAX_VERTICES))
                 rows += 1
                 failures += sum(1 for v in cells.values() if v == "FAIL")
                 skips += sum(1 for v in cells.values() if v == "SKIP")

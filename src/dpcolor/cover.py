@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import product
 from typing import Iterator
 
 from .graph import BudgetError, DefectParams, FormatError, Multigraph, Toughness
@@ -156,13 +157,17 @@ def cover_index(c: Cover) -> int:
     return k
 
 
-def all_covers(g: Multigraph, max_covers: int = DEFAULT_MAX_COVERS) -> Iterator[Cover]:
-    """All 2^|E| covers in lexicographic parity order; refuses oversized graphs."""
-    m = len(g.edges)
+def _parity_vectors(m: int, max_covers: int) -> Iterator[tuple[int, ...]]:
+    """All 2^m parity vectors in lex order (edge 0 most significant, E < O), within budget."""
     if (1 << m) > max_covers:
         raise BudgetError(f"2^{m} covers exceed the limit of {max_covers}")
-    for k in range(1 << m):
-        yield cover_from_index(m, k)
+    return product((0, 1), repeat=m)
+
+
+def all_covers(g: Multigraph, max_covers: int = DEFAULT_MAX_COVERS) -> Iterator[Cover]:
+    """All 2^|E| covers in lexicographic parity order; refuses oversized graphs."""
+    for bits in _parity_vectors(len(g.edges), max_covers):
+        yield Cover(bits)
 
 
 def parse_cover(text: str) -> Cover:

@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement
 from .cover import DEFAULT_MAX_COVERS
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 from .potential import (
+    _POTENTIAL_REGIMES,
     DEFAULT_MAX_VERTICES,
     Regime,
     edge_bound,
@@ -35,6 +36,9 @@ def is_critical(
     Checking edge deletions suffices because colorability is closed under
     subgraphs, except when a vertex is isolated; an isolated vertex always
     takes its rich side at degree 0, so such graphs are rejected outright.
+
+    max_covers caps each of the |E| + 1 cover scans, not their sum: e = 24
+    passes the default 2^24 budget and then takes about an hour.
     """
     if any(g.degree(v) == 0 for v in range(g.n)):
         return False
@@ -74,7 +78,7 @@ def check_bounds(
     rho_val: int | None = None
     rho_thr: int | None = None
     rho_ok: bool | None = None
-    if r in (Regime.ZERO_J, Regime.LARGE, Regime.MID, Regime.I_PLUS_ONE):
+    if r in _POTENTIAL_REGIMES:
         rho_val, _ = rho_graph(g, params, max_vertices=max_vertices)
         rho_thr = potential_threshold(params)
         rho_ok = rho_val <= rho_thr

@@ -1,15 +1,18 @@
-"""Regime constants, vertex and set potentials, and the critical edge bounds.
+"""The regime table, vertex and set potentials, and the critical edge bounds.
 
-The pairs 0 <= i <= j split into six regimes. Three carry a scalar potential
-built from constants (a, b):
+For 0 <= i <= j other than (0, 0), every critical multigraph has
+b|E| >= a|V| + k: its potential a|S| - b|E(S)| reaches -k or below. ``_row``
+is the one place each regime's (a, b, k) is written:
 
-    zero_j      i = 0, j >= 1          a = b = 1         rho(v) = 1 - t(v)
-    large       i >= 1, j >= 2i + 1    a = 2i+1, b = i+1 rho(v) = 2i+1 - t(v)
-    mid         i >= 1, i+2 <= j <= 2i a = 2j, b = j+1   rho(v) = 2j - 2 t(v)
+    zero_j      i = 0, j >= 1            (1, 1, j)
+    large       i >= 1, j >= 2i + 1      (2i + 1, i + 1, j - 2i)
+    mid         i >= 1, i + 2 <= j <= 2i (2j, j + 1, 2)
+    i_plus_one  i >= 1, j = i + 1        (2i^2 + 4i + 1, i^2 + 3i + 1, 1)
+    equal       i = j >= 1               (2i + 2, i + 2, 0)
 
-The j = i + 1 regime uses pair-valued toughness and its own formula; j = i has
-an edge bound but no potential, and (0, 0) is out of scope entirely. All
-arithmetic is exact: potentials are ints, edge bounds are Fractions.
+The first three give the scalar vertex potential a + t(v)(a - 2b), i_plus_one
+a pair-valued one, and equal none. All arithmetic is exact: potentials are
+ints, edge bounds are Fractions.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ class Regime(Enum):
 
 
 _SCALAR_REGIMES = (Regime.ZERO_J, Regime.LARGE, Regime.MID)
+_POTENTIAL_REGIMES = (*_SCALAR_REGIMES, Regime.I_PLUS_ONE)
 
 
 def regime(params: DefectParams) -> Regime:
@@ -48,16 +52,38 @@ def regime(params: DefectParams) -> Regime:
     return Regime.MID
 
 
+def _row(params: DefectParams) -> tuple[int, int, int]:
+    """The regime's (a, b, k): critical graphs satisfy b|E| >= a|V| + k."""
+    i, j = params.i, params.j
+    r = regime(params)
+    if r is Regime.ZERO_J:
+        return 1, 1, j
+    if r is Regime.LARGE:
+        return 2 * i + 1, i + 1, j - 2 * i
+    if r is Regime.MID:
+        return 2 * j, j + 1, 2
+    if r is Regime.I_PLUS_ONE:
+        return 2 * i * i + 4 * i + 1, i * i + 3 * i + 1, 1
+    if r is Regime.EQUAL:
+        return 2 * i + 2, i + 2, 0
+    raise ValueError("no edge bound for (0, 0)")
+
+
+def _potential_row(params: DefectParams) -> tuple[int, int, int]:
+    """The row of a regime that has a potential: all but equal and (0, 0)."""
+    r = regime(params)
+    if r not in _POTENTIAL_REGIMES:
+        raise ValueError(f"regime {r.value} has no potential")
+    return _row(params)
+
+
 def scalar_constants(params: DefectParams) -> tuple[int, int]:
     """The pair (a, b) behind the scalar potential; only three regimes have one."""
     r = regime(params)
-    if r is Regime.ZERO_J:
-        return 1, 1
-    if r is Regime.LARGE:
-        return 2 * params.i + 1, params.i + 1
-    if r is Regime.MID:
-        return 2 * params.j, params.j + 1
-    raise ValueError(f"regime {r.value} has no scalar potential constants")
+    if r not in _SCALAR_REGIMES:
+        raise ValueError(f"regime {r.value} has no scalar potential constants")
+    a, b, _ = _row(params)
+    return a, b
 
 
 def weight_w(params: DefectParams, k: int) -> int:
@@ -66,15 +92,6 @@ def weight_w(params: DefectParams, k: int) -> int:
     if not 0 <= k <= params.j + 1:
         raise ValueError(f"toughness level {k} out of range [0, {params.j + 1}]")
     return a + k * (a - 2 * b)
-
-
-def _edge_coefficient(params: DefectParams) -> int:
-    r = regime(params)
-    if r in _SCALAR_REGIMES:
-        return scalar_constants(params)[1]
-    if r is Regime.I_PLUS_ONE:
-        return params.i * params.i + 3 * params.i + 1
-    raise ValueError(f"regime {r.value} has no potential")
 
 
 def rho_vertex(params: DefectParams, t: Toughness, v: int) -> int:
@@ -86,18 +103,17 @@ def rho_vertex(params: DefectParams, t: Toughness, v: int) -> int:
     """
     if not 0 <= v < t.n:
         raise ValueError(f"vertex {v} out of range [0, {t.n})")
+    a, _, _ = _potential_row(params)
     r = regime(params)
-    if r in _SCALAR_REGIMES:
-        if t.is_refined:
-            raise ValueError(f"regime {r.value} requires scalar toughness")
-        return weight_w(params, t.poor[v])
     if r is Regime.I_PLUS_ONE:
         if not t.is_refined:
             raise ValueError("regime i_plus_one requires refined toughness")
         i = params.i
         tp, tr = t.poor[v], t.rich[v]
-        return 2 * i * i + 4 * i + 1 - (i + 1) * max(tp, tr) - i * min(tp, tr)
-    raise ValueError(f"regime {r.value} has no potential")
+        return a - (i + 1) * max(tp, tr) - i * min(tp, tr)
+    if t.is_refined:
+        raise ValueError(f"regime {r.value} requires scalar toughness")
+    return weight_w(params, t.poor[v])
 
 
 def rho_set(g: Multigraph, params: DefectParams, t: Toughness, s: Iterable[int]) -> int:
@@ -107,7 +123,7 @@ def rho_set(g: Multigraph, params: DefectParams, t: Toughness, s: Iterable[int])
     for v in members:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range [0, {g.n})")
-    coeff = _edge_coefficient(params)
+    _, coeff, _ = _potential_row(params)
     total = sum(rho_vertex(params, t, v) for v in members)
     internal = sum(1 for u, w in g.edges if u in members and w in members)
     return total - coeff * internal
@@ -163,7 +179,7 @@ def rho_graph(
         pairs = regime(params) is Regime.I_PLUS_ONE
         t = Toughness.zero_pairs(g.n) if pairs else Toughness.zero(g.n)
     t.check(params, g.n)
-    coeff = _edge_coefficient(params)
+    _, coeff, _ = _potential_row(params)
     per_vertex = [rho_vertex(params, t, v) for v in range(g.n)]
     best_val: int | None = None
     best_key: tuple[int, ...] = ()
@@ -177,29 +193,17 @@ def rho_graph(
 
 
 def potential_threshold(params: DefectParams) -> int:
-    """The potential value every critical instance must reach or undercut."""
+    """The potential every critical instance must reach or undercut: -k,
+    which is weight_w(params, j + 1) in the scalar regimes."""
     r = regime(params)
-    if r in _SCALAR_REGIMES:
-        return weight_w(params, params.j + 1)
-    if r is Regime.I_PLUS_ONE:
-        return -1
-    raise ValueError(f"regime {r.value} has no potential threshold")
+    if r not in _POTENTIAL_REGIMES:
+        raise ValueError(f"regime {r.value} has no potential threshold")
+    return -_row(params)[2]
 
 
 def edge_bound(params: DefectParams, n: int) -> Fraction:
     """Exact lower bound on the edge count of an n-vertex critical multigraph."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    i, j = params.i, params.j
-    r = regime(params)
-    if r is Regime.ZERO_J:
-        return Fraction(n + j)
-    if r is Regime.LARGE:
-        return Fraction((2 * i + 1) * n - (2 * i - j), i + 1)
-    if r is Regime.MID:
-        return Fraction(2 * j * n + 2, j + 1)
-    if r is Regime.I_PLUS_ONE:
-        return Fraction((2 * i * i + 4 * i + 1) * n + 1, i * i + 3 * i + 1)
-    if r is Regime.EQUAL:
-        return Fraction((2 * i + 2) * n, i + 2)
-    raise ValueError("no edge bound for (0, 0)")
+    a, b, k = _row(params)
+    return Fraction(a * n + k, b)

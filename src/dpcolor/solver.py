@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Sequence
 
-from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, Side, _check_cover
+from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, Side, _check_cover, _parity_vectors
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 
 DEFAULT_MAX_VERTICES = 32
@@ -74,13 +73,11 @@ class _Search:
         return sides if assign(0) else None
 
 
-def _prepared(
-    g: Multigraph, params: DefectParams, t: Toughness | None
-) -> tuple[_Search, Toughness]:
+def _prepared(g: Multigraph, params: DefectParams, t: Toughness | None) -> _Search:
     if t is None:
         t = Toughness.zero(g.n)
     t.check(params, g.n)
-    return _Search(g, params, t), t
+    return _Search(g, params, t)
 
 
 def exhaustive_color(
@@ -99,8 +96,7 @@ def exhaustive_color(
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
     _check_cover(g, c)
-    search, _ = _prepared(g, params, t)
-    sides = search.run([int(p) for p in c.parities])
+    sides = _prepared(g, params, t).run([int(p) for p in c.parities])
     if sides is None:
         return None
     return PhiMap(tuple(Side(s) for s in sides))
@@ -157,11 +153,9 @@ def is_colorable(
     first cover with no coloring: covers are scanned in lex order (edge 0
     most significant, E < O) and the scan stops at the first failure.
     """
-    m = len(g.edges)
-    if (1 << m) > max_covers:
-        raise BudgetError(f"2^{m} covers exceed the limit of {max_covers}")
-    search, _ = _prepared(g, params, t)
-    for bits in product((0, 1), repeat=m):
+    parities = _parity_vectors(len(g.edges), max_covers)
+    search = _prepared(g, params, t)
+    for bits in parities:
         if search.run(bits) is None:
             return False, Cover(bits)
     return True, None
@@ -181,15 +175,10 @@ def partition_witness(g: Multigraph, i: int, a_set: Iterable[int]) -> int | None
             raise ValueError(f"vertex {v} out of range [0, {g.n})")
     if not a or len(a) >= g.n:
         raise ValueError("A must be a nonempty proper subset of the vertices")
+    incident = g.incidence()
     for v in sorted(set(range(g.n)) - a):
-        d_a = d_b = 0
-        for u, w in g.edges:
-            if u == v or w == v:
-                other = w if u == v else u
-                if other in a:
-                    d_a += 1
-                else:
-                    d_b += 1
+        d_a = sum(1 for u, _ in incident[v] if u in a)
+        d_b = len(incident[v]) - d_a
         if (i + 1) * d_a + d_b >= 2 * i + 2:
             return v
     return None

@@ -9,25 +9,22 @@ from __future__ import annotations
 
 from .cover import DEFAULT_MAX_COVERS
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
-from .potential import DEFAULT_MAX_VERTICES, Regime, _subset_values, regime
+from .potential import DEFAULT_MAX_VERTICES, Regime, _row, _subset_values, regime
 from .solver import is_colorable
 
 
 def _inequality(params: DefectParams) -> tuple[int, int, int]:
-    """The regime's per-subgraph inequality a|V(H)| - b|E(H)| >= c, as (a, b, c)."""
-    i, j = params.i, params.j
+    """The regime's per-subgraph inequality a|V(H)| - b|E(H)| >= c, as (a, b, c).
+
+    A critical subgraph has a|V| - b|E| <= -k, so c = 1 - k excludes every
+    one. The large regime asks for c = 2 - k, one more than that: lowering it
+    would change which graphs get a guarantee, and is an open question.
+    """
     r = regime(params)
-    if r is Regime.ZERO_J:
-        return 1, 1, 1 - j
-    if r is Regime.LARGE:
-        return 2 * i + 1, i + 1, 2 * i - j + 2
-    if r is Regime.MID:
-        return 2 * j, j + 1, -1
-    if r is Regime.I_PLUS_ONE:
-        return 2 * i * i + 4 * i + 1, i * i + 3 * i + 1, 0
-    if r is Regime.EQUAL:
-        return 2 * i + 2, i + 2, 1
-    raise ValueError("no sparsity guarantee for (0, 0)")
+    if r is Regime.ZERO_ZERO:
+        raise ValueError("no sparsity guarantee for (0, 0)")
+    a, b, k = _row(params)
+    return a, b, (2 if r is Regime.LARGE else 1) - k
 
 
 def violating_subset(

@@ -104,6 +104,12 @@ class TestAllCovers:
         for k in range(8):
             assert cover_index(cover_from_index(3, k)) == k
 
+    def test_scan_order_is_index_order(self):
+        for m in range(7):
+            covers = list(all_covers(Multigraph(2, [(0, 1)] * m)))
+            assert [cover_index(c) for c in covers] == list(range(2**m))
+            assert covers == [cover_from_index(m, k) for k in range(2**m)]
+
 
 @given(graph_cover_pairs(), st.data())
 def test_conflict_degree_sum_is_twice_conflicting_edges(pair, data):

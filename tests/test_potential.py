@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import multigraphs
+from dpcolor.sparsity import _inequality
 from dpcolor import (
     DefectParams,
     Multigraph,
@@ -221,3 +222,62 @@ class TestEdgeBound:
         assert potential_threshold(DefectParams(1, 2)) == -1
         with pytest.raises(ValueError):
             potential_threshold(DefectParams(1, 1))
+
+
+# Each regime's constants as closed forms in i and j, written out independently of the
+# package's table: edge bound, threshold, scalar pair (None: raises) and sparsity row.
+def _closed_forms(i: int, j: int, n: int):
+    if i == 0:
+        return Fraction(n + j), -j, (1, 1), (1, 1, 1 - j)
+    if j == i:
+        return Fraction((2 * i + 2) * n, i + 2), None, None, (2 * i + 2, i + 2, 1)
+    if j == i + 1:
+        a, b = 2 * i * i + 4 * i + 1, i * i + 3 * i + 1
+        return Fraction(a * n + 1, b), -1, None, (a, b, 0)
+    if j >= 2 * i + 1:
+        return (
+            Fraction((2 * i + 1) * n - (2 * i - j), i + 1),
+            2 * i - j,
+            (2 * i + 1, i + 1),
+            (2 * i + 1, i + 1, 2 * i - j + 2),
+        )
+    return Fraction(2 * j * n + 2, j + 1), -2, (2 * j, j + 1), (2 * j, j + 1, -1)
+
+
+def test_regime_table_matches_closed_forms():
+    for i in range(13):
+        for j in range(max(i, 1), 13):
+            p = DefectParams(i, j)
+            for n in range(1, 41):
+                bound, threshold, scalars, row = _closed_forms(i, j, n)
+                assert edge_bound(p, n) == bound, (i, j, n)
+            assert _inequality(p) == row, (i, j)
+            if threshold is None:
+                with pytest.raises(ValueError, match="has no potential threshold"):
+                    potential_threshold(p)
+            else:
+                assert potential_threshold(p) == threshold, (i, j)
+            if scalars is None:
+                with pytest.raises(ValueError, match="has no scalar potential constants"):
+                    scalar_constants(p)
+                with pytest.raises(ValueError, match="has no scalar potential constants"):
+                    weight_w(p, j + 1)
+            else:
+                assert scalar_constants(p) == scalars, (i, j)
+                assert weight_w(p, j + 1) == threshold, (i, j)
+
+
+def test_error_messages_without_a_row_or_potential():
+    with pytest.raises(ValueError, match="^regime equal has no potential$"):
+        rho_set(Multigraph(1, ()), DefectParams(1, 1), Toughness.zero(1), ())
+    p = DefectParams(0, 0)
+    with pytest.raises(ValueError, match=r"^no edge bound for \(0, 0\)$"):
+        edge_bound(p, 1)
+    with pytest.raises(ValueError, match="^regime zero_zero has no potential threshold$"):
+        potential_threshold(p)
+    with pytest.raises(ValueError, match="^regime zero_zero has no scalar potential constants$"):
+        scalar_constants(p)
+    with pytest.raises(ValueError, match=r"^no sparsity guarantee for \(0, 0\)$"):
+        _inequality(p)
+    with pytest.raises(ValueError, match="^regime zero_zero has no potential$"):
+        rho_set(Multigraph(1, ()), p, Toughness.zero(1), ())

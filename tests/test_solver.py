@@ -219,3 +219,19 @@ class TestPartitionWitness:
             partition_witness(TRIPLE, 0, {0, 1})
         with pytest.raises(ValueError):
             partition_witness(TRIPLE, 0, {5})
+
+
+@given(multigraphs(max_n=7, max_edges=12, min_n=2), st.integers(0, 3), st.data())
+def test_partition_witness_is_first_qualifying_vertex(g, i, data):
+    mask = data.draw(st.integers(1, (1 << g.n) - 2))
+    a_set = {v for v in range(g.n) if mask >> v & 1}
+    expect = None
+    for v in range(g.n):
+        if v in a_set:
+            continue
+        ends = [w if u == v else u for u, w in g.edges if v in (u, w)]
+        d_a = sum(1 for u in ends if u in a_set)
+        if (i + 1) * d_a + (len(ends) - d_a) >= 2 * i + 2:
+            expect = v
+            break
+    assert partition_witness(g, i, a_set) == expect
