@@ -18,7 +18,8 @@ from .potential import (
     regime,
     rho_graph,
 )
-from .solver import is_colorable
+from .solver import _bad_covers, _Search
+from .solver import is_colorable  # noqa: F401  (bench/tracer.py wraps critical.is_colorable)
 
 DEFAULT_MAX_SEARCH_VERTICES = 5
 DEFAULT_MAX_SEARCH_EDGES = 10
@@ -37,19 +38,41 @@ def is_critical(
     subgraphs, except when a vertex is isolated; an isolated vertex always
     takes its rich side at degree 0, so such graphs are rejected outright.
 
-    max_covers caps each of the |E| + 1 cover scans, not their sum: e = 24
-    passes the default 2^24 budget and then takes about an hour.
+    One scan of G's covers decides every deletion. Each cover of G - e is the
+    restriction of a cover of G, and deleting an edge only removes conflicts,
+    so the restriction of a colorable cover stays colorable. G - e is
+    therefore colorable exactly when the restriction of every uncolorable
+    cover of G is; each such restriction is one branch-and-bound on G - e.
+    Toughness carries over, because G - e has the same vertices. max_covers
+    caps that one 2^|E| scan, as it does for is_colorable; on top of it come
+    at most |E| one-cover searches per uncolorable cover.
+
+    A vertex v of degree 1 whose caps i - t_p(v) and j - t_r(v) are both
+    non-negative also rules G out. Let uv be its edge. Given a coloring of
+    G - uv under the restricted cover, give v the side that uv's matching
+    does not join to u's chosen vertex: uv then conflicts nowhere, and v has
+    no conflict at all. So G is colorable whenever G - uv is, and G is not
+    critical either way. The rule runs after the budget and toughness checks,
+    so those raise exactly as for is_colorable.
     """
-    if any(g.degree(v) == 0 for v in range(g.n)):
+    deg = [len(inc) for inc in g.incidence()]
+    if 0 in deg:
         return False
-    colorable, _ = is_colorable(g, params, t, max_covers=max_covers)
-    if colorable:
+    if t is None:
+        t = Toughness.zero(g.n)
+    bad_covers = _bad_covers(g, params, t, max_covers)
+    if any(
+        deg[v] == 1 and t.poor[v] <= params.i and t.rich[v] <= params.j for v in range(g.n)
+    ):
         return False
-    for e in range(len(g.edges)):
-        ok, _ = is_colorable(g.delete_edge(e), params, t, max_covers=max_covers)
-        if not ok:
+    deletions = [_Search(g.delete_edge(e), params, t) for e in range(len(g.edges))]
+    uncolorable = False
+    for bits in bad_covers:
+        uncolorable = True
+        # delete_edge shifts later ids down, so dropping bit e restricts the cover
+        if any(search.run(bits[:e] + bits[e + 1 :]) is None for e, search in enumerate(deletions)):
             return False
-    return True
+    return uncolorable
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, Side, _check_cover, _parity_vectors
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
@@ -153,12 +153,21 @@ def is_colorable(
     first cover with no coloring: covers are scanned in lex order (edge 0
     most significant, E < O) and the scan stops at the first failure.
     """
+    bad = next(_bad_covers(g, params, t, max_covers), None)
+    return (True, None) if bad is None else (False, Cover(bad))
+
+
+def _bad_covers(
+    g: Multigraph, params: DefectParams, t: Toughness | None, max_covers: int
+) -> Iterator[tuple[int, ...]]:
+    """The parity vectors with no coloring, lazily and in lex order.
+
+    The budget and the toughness are checked here, at the call, not at the
+    first step of the returned iterator.
+    """
     parities = _parity_vectors(len(g.edges), max_covers)
     search = _prepared(g, params, t)
-    for bits in parities:
-        if search.run(bits) is None:
-            return False, Cover(bits)
-    return True, None
+    return (bits for bits in parities if search.run(bits) is None)
 
 
 def partition_witness(g: Multigraph, i: int, a_set: Iterable[int]) -> int | None:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from dpcolor import Cover, DefectParams, Multigraph, Parity
+from dpcolor import Cover, DefectParams, Multigraph, Parity, Toughness
 
 SMALL_PARAMS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2), (2, 4)]
 
@@ -35,6 +35,17 @@ def defect_params(draw, include_zero_zero: bool = True):
     choices = SMALL_PARAMS if include_zero_zero else SMALL_PARAMS[1:]
     i, j = draw(st.sampled_from(choices))
     return DefectParams(i, j)
+
+
+@st.composite
+def toughness_for(draw, n: int, params: DefectParams):
+    """Scalar or refined toughness on n vertices, anywhere Toughness.check allows."""
+    if draw(st.booleans()):
+        return Toughness.scalar(
+            draw(st.lists(st.integers(0, params.j + 1), min_size=n, max_size=n))
+        )
+    pair = st.tuples(st.integers(0, params.i + 1), st.integers(0, params.j + 1))
+    return Toughness.pairs(draw(st.lists(pair, min_size=n, max_size=n)))
 
 
 @st.composite

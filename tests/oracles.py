@@ -64,12 +64,37 @@ def cover_colorable(
     return False
 
 
-def colorable(n: int, edges: list[tuple[int, int]], i: int, j: int) -> bool:
+def colorable(
+    n: int,
+    edges: list[tuple[int, int]],
+    i: int,
+    j: int,
+    t_poor: list[int] | None = None,
+    t_rich: list[int] | None = None,
+) -> bool:
     """Existence over every cover by scanning all 2^|E| parity vectors."""
     for parities in product((0, 1), repeat=len(edges)):
-        if not cover_colorable(n, edges, list(parities), i, j):
+        if not cover_colorable(n, edges, list(parities), i, j, t_poor, t_rich):
             return False
     return True
+
+
+def critical(
+    n: int,
+    edges: list[tuple[int, int]],
+    i: int,
+    j: int,
+    t_poor: list[int] | None = None,
+    t_rich: list[int] | None = None,
+) -> bool:
+    """No isolated vertex, not colorable, and colorable after every single deletion."""
+    if any(all(v not in edge for edge in edges) for v in range(n)):
+        return False
+    if colorable(n, edges, i, j, t_poor, t_rich):
+        return False
+    return all(
+        colorable(n, edges[:e] + edges[e + 1 :], i, j, t_poor, t_rich) for e in range(len(edges))
+    )
 
 
 def first_bad_cover(n: int, edges: list[tuple[int, int]], i: int, j: int) -> list[int] | None:

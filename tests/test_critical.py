@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from conftest import defect_params, multigraphs, toughness_for
 from dpcolor import (
     BudgetError,
     DefectParams,
     Multigraph,
     Regime,
+    Toughness,
     build_equal,
     build_large,
     check_bounds,
@@ -38,6 +44,85 @@ class TestIsCritical:
     def test_proper_superset_of_critical_is_not_critical(self):
         quad = Multigraph(2, [(0, 1)] * 4)
         assert not is_critical(quad, P01)
+
+    def test_degree_one_vertex_rejected(self):
+        # a pendant edge on the critical triple: its leaf can always dodge it
+        g = Multigraph(3, [(0, 1)] * 3 + [(1, 2)])
+        assert not is_critical(g, P01)
+        assert not oracles.critical(3, list(g.edges), 0, 1)
+
+    def test_degree_one_vertex_with_a_negative_cap_can_be_critical(self):
+        # rich caps j - 2 < 0 force both ends poor, and an even edge then conflicts
+        g = Multigraph(2, [(0, 1)])
+        t = Toughness.pairs([(0, 2), (0, 2)])
+        assert is_critical(g, P01, t)
+        assert oracles.critical(2, [(0, 1)], 0, 1, [0, 0], [2, 2])
+
+    @pytest.mark.parametrize(
+        "g, params, expected",
+        [
+            (TRIPLE, P01, True),
+            (build_equal(1, 1).graph, DefectParams(1, 1), True),
+            (Multigraph(3, [(0, 1)] * 3 + [(1, 2)]), P01, False),
+        ],
+    )
+    def test_max_covers_caps_the_one_scan(self, g, params, expected):
+        m = len(g.edges)
+        with pytest.raises(BudgetError):
+            is_critical(g, params, max_covers=2**m - 1)
+        assert is_critical(g, params, max_covers=2**m) is expected
+
+    def test_toughness_checked_before_the_degree_one_rule(self):
+        g = Multigraph(3, [(0, 1)] * 3 + [(1, 2)])
+        with pytest.raises(ValueError, match="refined poor toughness"):
+            is_critical(g, P01, Toughness.pairs([(0, 0), (0, 0), (2, 0)]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(multigraphs(max_n=5, max_edges=9), defect_params(), st.data())
+def test_is_critical_matches_oracle(g, params, data):
+    t = data.draw(toughness_for(g.n, params))
+    expected = oracles.critical(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
+    assert is_critical(g, params, t) == expected
+
+
+@pytest.mark.parametrize(
+    "n, edges, i, j, toughness",
+    [
+        (
+            4,
+            [(1, 2), (0, 1), (2, 3), (0, 2), (1, 3), (2, 1)],
+            0,
+            3,
+            [(1, 0), (0, 0), (0, 1), (0, 0)],
+        ),
+        (
+            5,
+            [(4, 2), (4, 1), (1, 0), (2, 3), (0, 4), (2, 4), (4, 0)],
+            2,
+            2,
+            [(0, 1), (0, 0), (0, 2), (0, 3), (3, 0)],
+        ),
+    ],
+)
+def test_deletions_see_the_restricted_cover(n, edges, i, j, toughness):
+    # some deletion stays uncolorable, but only under the cover that drops
+    # exactly its own bit; a misaligned restriction calls these critical
+    t = Toughness.pairs(toughness)
+    expected = oracles.critical(n, edges, i, j, list(t.poor), list(t.rich))
+    assert expected is False
+    assert is_critical(Multigraph(n, edges), DefectParams(i, j), t) is expected
+
+
+def test_is_critical_matches_oracle_on_every_small_multiset():
+    # random draws are rarely critical; this sweep holds a few hundred critical graphs
+    for n in (2, 3, 4):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for m in range(1, 7):
+            for combo in combinations_with_replacement(pairs, m):
+                for i, j in ((0, 1), (0, 2), (1, 1), (1, 2)):
+                    expected = oracles.critical(n, list(combo), i, j)
+                    assert is_critical(Multigraph(n, combo), DefectParams(i, j)) == expected
 
 
 class TestCheckBounds:
