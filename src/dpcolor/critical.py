@@ -18,7 +18,7 @@ from .potential import (
     regime,
     rho_graph,
 )
-from .solver import _bad_covers, _Search
+from .solver import _kernel
 from .solver import is_colorable  # noqa: F401  (bench/tracer.py wraps critical.is_colorable)
 
 DEFAULT_MAX_SEARCH_VERTICES = 5
@@ -42,10 +42,12 @@ def is_critical(
     restriction of a cover of G, and deleting an edge only removes conflicts,
     so the restriction of a colorable cover stays colorable. G - e is
     therefore colorable exactly when the restriction of every uncolorable
-    cover of G is; each such restriction is one branch-and-bound on G - e.
-    Toughness carries over, because G - e has the same vertices. max_covers
-    caps that one 2^|E| scan, as it does for is_colorable; on top of it come
-    at most |E| one-cover searches per uncolorable cover.
+    cover of G is. Toughness carries over, because G - e has the same
+    vertices. max_covers caps that one 2^|E| scan, as it does for
+    is_colorable. Up to solver._TREE_MAX_VERTICES vertices the scan is the
+    bit-parallel cover tree, and each uncolorable cover's |E| deletions are
+    read off its leaf masks; above it, each cover is one branch-and-bound,
+    and so is each deletion of an uncolorable one.
 
     A vertex v of degree 1 whose caps i - t_p(v) and j - t_r(v) are both
     non-negative also rules G out. Let uv be its edge. Given a coloring of
@@ -60,17 +62,15 @@ def is_critical(
         return False
     if t is None:
         t = Toughness.zero(g.n)
-    bad_covers = _bad_covers(g, params, t, max_covers)
+    bad_covers, deletions_colorable = _kernel(g, params, t, max_covers)
     if any(
         deg[v] == 1 and t.poor[v] <= params.i and t.rich[v] <= params.j for v in range(g.n)
     ):
         return False
-    deletions = [_Search(g.delete_edge(e), params, t) for e in range(len(g.edges))]
     uncolorable = False
     for bits in bad_covers:
         uncolorable = True
-        # delete_edge shifts later ids down, so dropping bit e restricts the cover
-        if any(search.run(bits[:e] + bits[e + 1 :]) is None for e, search in enumerate(deletions)):
+        if not deletions_colorable(bits):
             return False
     return uncolorable
 

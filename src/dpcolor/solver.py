@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, Side, _check_cover, _parity_vectors
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
@@ -23,12 +23,19 @@ class _Search:
         self.n = g.n
         self.incident = g.incidence()
         deg = [len(inc) for inc in self.incident]
-        self.order = sorted(range(g.n), key=lambda v: (-deg[v], v))
+        self.order = sorted((v for v in range(g.n) if deg[v]), key=lambda v: (-deg[v], v))
         # cap[v][side], indexed by the Side integer (RICH = 0, POOR = 1)
         self.cap = [(params.j - t.rich[v], params.i - t.poor[v]) for v in range(g.n)]
+        # An isolated vertex never conflicts, so it takes its first side with a
+        # non-negative cap, rich first, before the search: the recursion only
+        # goes as deep as the non-isolated vertices. With neither side, no map exists.
+        self.hopeless = any(not deg[v] and max(self.cap[v]) < 0 for v in range(g.n))
+        self.start = [-1 if deg[v] else int(self.cap[v][0] < 0) for v in range(g.n)]
 
     def run(self, parity_bits: Sequence[int]) -> list[int] | None:
-        sides = [-1] * self.n
+        if self.hopeless:
+            return None
+        sides = list(self.start)
         conf = [0] * self.n
         incident = self.incident
         cap = self.cap
@@ -73,11 +80,11 @@ class _Search:
         return sides if assign(0) else None
 
 
-def _prepared(g: Multigraph, params: DefectParams, t: Toughness | None) -> _Search:
+def _checked(g: Multigraph, params: DefectParams, t: Toughness | None) -> Toughness:
     if t is None:
         t = Toughness.zero(g.n)
     t.check(params, g.n)
-    return _Search(g, params, t)
+    return t
 
 
 def exhaustive_color(
@@ -96,7 +103,7 @@ def exhaustive_color(
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
     _check_cover(g, c)
-    sides = _prepared(g, params, t).run([int(p) for p in c.parities])
+    sides = _Search(g, params, _checked(g, params, t)).run([int(p) for p in c.parities])
     if sides is None:
         return None
     return PhiMap(tuple(Side(s) for s in sides))
@@ -163,11 +170,142 @@ def _bad_covers(
     """The parity vectors with no coloring, lazily and in lex order.
 
     The budget and the toughness are checked here, at the call, not at the
-    first step of the returned iterator.
+    first step of the returned iterator. Small graphs are scanned by the cover
+    tree, larger ones one branch-and-bound per cover (see _kernel).
+    """
+    return _kernel(g, params, t, max_covers)[0]
+
+
+def _kernel(
+    g: Multigraph, params: DefectParams, t: Toughness | None, max_covers: int
+) -> tuple[Iterator[tuple[int, ...]], Callable[[tuple[int, ...]], bool]]:
+    """The bad covers of g, and whether each g - e colors the one last yielded.
+
+    Up to _TREE_MAX_VERTICES vertices both come from one _CoverTree, above from
+    one _Search per cover and per deletion, with the same answers in the same order.
     """
     parities = _parity_vectors(len(g.edges), max_covers)
-    search = _prepared(g, params, t)
-    return (bits for bits in parities if search.run(bits) is None)
+    t = _checked(g, params, t)
+    if g.n <= _TREE_MAX_VERTICES:
+        tree = _CoverTree()
+        return tree.bad_covers(g, params, t), tree.deletions_colorable
+    search = _Search(g, params, t)
+    deletions: list[_Search] = []
+
+    def deletions_colorable(bits: tuple[int, ...]) -> bool:
+        if not deletions:
+            deletions.extend(_Search(g.delete_edge(e), params, t) for e in range(len(g.edges)))
+        # delete_edge shifts later ids down, so dropping bit e restricts the cover
+        return all(s.run(bits[:e] + bits[e + 1 :]) is not None for e, s in enumerate(deletions))
+
+    return (bits for bits in parities if search.run(bits) is None), deletions_colorable
+
+
+# Up to this many vertices the masks of _CoverTree (2^n bits) beat one _Search
+# per cover; sparse graphs lose on the tree from n = 15 (sweep in CHANGES.md).
+_TREE_MAX_VERTICES = 14
+
+
+class _CoverTree:
+    """Every side map of g at once, over a depth-first tree of parity vectors.
+
+    Map x puts vertex v on its poor side when bit v of x is set; a set of maps
+    is one 2^n-bit int. Depth k decides edge k, E before O, so leaves come in
+    lex order. T[v][c] holds the maps with at least c conflicts at v over the
+    decided edges, up to c = max cap + 2. Edge uw conflicts exactly on the
+    maps where s_u XOR s_w equals its parity, so a node costs a few big-int
+    operations per endpoint. While bad_covers is paused at a bad cover,
+    deletions_colorable reads that leaf's masks.
+    """
+
+    def bad_covers(
+        self, g: Multigraph, params: DefectParams, t: Toughness
+    ) -> Iterator[tuple[int, ...]]:
+        # the masks are built at the first step: is_critical may reject g
+        # (degree-1 rule) after the checks, and then it pays nothing here
+        n, self.edges = g.n, g.edges
+        self.full = full = (1 << (1 << n)) - 1
+        poor = []
+        for v in range(n):
+            half = 1 << v  # bit v of a map index: 2^v zeros, then 2^v ones, repeated
+            poor.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+        self.diff = [poor[u] ^ poor[w] for u, w in g.edges]
+        # per vertex: poor maps, rich maps and the conflict count that breaks
+        # each side's cap (0 for a side whose cap is negative)
+        self.sides = [
+            (p, full ^ p, max(params.i - tp + 1, 0), max(params.j - tr + 1, 0))
+            for p, tp, tr in zip(poor, t.poor, t.rich)
+        ]
+        self.T = [[full] + [0] * (max(kp, kr) + 1) for _, _, kp, kr in self.sides]
+        self.start = full
+        for ok in self._allowed():
+            self.start &= ok
+        self.bits = [0] * len(g.edges)
+        # rest[k]: each vertex with d > 0 undecided edges at depth k, with its
+        # masks and the counts that break its caps once d more conflicts come
+        self.rest: list[list[tuple[int, int, int, int, int]]] = [[]]
+        deg = [0] * n
+        for u, w in reversed(g.edges):
+            deg[u] += 1
+            deg[w] += 1
+            sides = zip(range(n), deg, self.sides)
+            self.rest.insert(
+                0, [(p, r, v, max(a - d, 0), max(b - d, 0)) for v, d, (p, r, a, b) in sides if d]
+            )
+        yield from self.walk(0, self.start)
+
+    def _allowed(self) -> list[int]:
+        """Per vertex, the maps within its caps over the decided edges."""
+        T = self.T
+        return [
+            ~(p & T[v][a] | r & T[v][b]) & self.full for v, (p, r, a, b) in enumerate(self.sides)
+        ]
+
+    def walk(self, k: int, valid: int) -> Iterator[tuple[int, ...]]:
+        if k == len(self.bits):
+            if not valid:
+                yield tuple(self.bits)
+            return
+        T = self.T
+        if valid:
+            # slack prune: a map within every cap with all of the remaining
+            # edges counted as conflicts colors every cover of the subtree
+            fits = valid
+            for p, r, v, a, b in self.rest[k]:
+                fits &= ~(p & T[v][a] | r & T[v][b])
+                if not fits:
+                    break
+            else:
+                return
+        u, w = self.edges[k]
+        (pu, ru, au, bu), (pw, rw, aw, bw) = self.sides[u], self.sides[w]
+        tu, tw = T[u], T[w]
+        for bit, c in enumerate((self.full ^ self.diff[k], self.diff[k])):
+            T[u] = nu = [tu[0]] + [x | y & c for x, y in zip(tu[1:], tu)]
+            T[w] = nw = [tw[0]] + [x | y & c for x, y in zip(tw[1:], tw)]
+            self.bits[k] = bit
+            over = pu & nu[au] | ru & nu[bu] | pw & nw[aw] | rw & nw[bw]
+            yield from self.walk(k + 1, valid & ~over)
+        T[u], T[w] = tu, tw
+
+    def deletions_colorable(self, bits: tuple[int, ...]) -> bool:
+        """Whether each g - e is colorable under the leaf's cover restricted to it.
+
+        Deleting e = uw lowers the counts at u and w by one on e's conflict
+        mask c; every other vertex keeps the maps it allows at the leaf.
+        """
+        T, allowed = self.T, self._allowed()
+        for e, (u, w) in enumerate(self.edges):
+            c = self.diff[e] if bits[e] else self.full ^ self.diff[e]
+            maps = self.start
+            for v, ok in enumerate(allowed):
+                if v == u or v == w:
+                    p, r, a, b = self.sides[v]
+                    ok = ~(p & (T[v][a + 1] | T[v][a] & ~c) | r & (T[v][b + 1] | T[v][b] & ~c))
+                maps &= ok
+            if not maps:
+                return False
+        return True
 
 
 def partition_witness(g: Multigraph, i: int, a_set: Iterable[int]) -> int | None:

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import strategies as st
 
-from dpcolor import Cover, DefectParams, Multigraph, Parity, Toughness
+from dpcolor import Cover, DefectParams, Multigraph, Parity, Toughness, solver
 
 SMALL_PARAMS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2), (2, 4)]
 
@@ -63,3 +64,11 @@ def bounded_degree_graphs(draw, degree_cap: int, max_n: int = 7, max_edges: int 
         deg[u] += 1
         deg[v] += 1
     return Multigraph(n, tuple(edges))
+
+
+@pytest.fixture(params=["tree", "search"])
+def kernel(request, monkeypatch):
+    """Run the test on each all-cover scan kernel: the cover tree and one _Search per cover."""
+    if request.param == "search":
+        monkeypatch.setattr(solver, "_TREE_MAX_VERTICES", -1)
+    return request.param

@@ -97,12 +97,33 @@ def critical(
     )
 
 
-def first_bad_cover(n: int, edges: list[tuple[int, int]], i: int, j: int) -> list[int] | None:
-    """Lexicographically first parity vector with no coloring (0 = even < 1 = odd)."""
-    for parities in product((0, 1), repeat=len(edges)):
-        if not cover_colorable(n, edges, list(parities), i, j):
-            return list(parities)
-    return None
+def bad_covers(
+    n: int,
+    edges: list[tuple[int, int]],
+    i: int,
+    j: int,
+    t_poor: list[int] | None = None,
+    t_rich: list[int] | None = None,
+) -> list[list[int]]:
+    """Every parity vector with no coloring, in lex order (0 = even < 1 = odd)."""
+    return [
+        list(parities)
+        for parities in product((0, 1), repeat=len(edges))
+        if not cover_colorable(n, edges, list(parities), i, j, t_poor, t_rich)
+    ]
+
+
+def first_bad_cover(
+    n: int,
+    edges: list[tuple[int, int]],
+    i: int,
+    j: int,
+    t_poor: list[int] | None = None,
+    t_rich: list[int] | None = None,
+) -> list[int] | None:
+    """Lexicographically first parity vector with no coloring."""
+    bad = bad_covers(n, edges, i, j, t_poor, t_rich)
+    return bad[0] if bad else None
 
 
 def subset_potential_minimum(

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -78,9 +78,11 @@ class TestIsCritical:
             is_critical(g, P01, Toughness.pairs([(0, 0), (0, 0), (2, 0)]))
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(
+    max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(multigraphs(max_n=5, max_edges=9), defect_params(), st.data())
-def test_is_critical_matches_oracle(g, params, data):
+def test_is_critical_matches_oracle(kernel, g, params, data):
     t = data.draw(toughness_for(g.n, params))
     expected = oracles.critical(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
     assert is_critical(g, params, t) == expected

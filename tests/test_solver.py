@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import bounded_degree_graphs, defect_params, graph_cover_pairs, multigraphs
+from conftest import (
+    bounded_degree_graphs,
+    defect_params,
+    graph_cover_pairs,
+    multigraphs,
+    toughness_for,
+)
 from dpcolor import (
     BudgetError,
     Cover,
@@ -23,7 +31,9 @@ from dpcolor import (
     is_colorable,
     is_valid_coloring,
     partition_witness,
+    solver,
 )
+from dpcolor.cover import DEFAULT_MAX_COVERS
 
 E, O = Parity.EVEN, Parity.ODD
 TRIPLE = Multigraph(2, [(0, 1)] * 3)
@@ -186,6 +196,78 @@ def test_is_colorable_matches_double_enumeration_oracle(g, ij):
     assert ok == (expect is None)
     if witness is not None:
         assert [int(p) for p in witness.parities] == expect
+
+
+# the kernel fixture holds for a whole test, so it may span hypothesis examples
+KERNEL_SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@KERNEL_SETTINGS
+@given(multigraphs(max_n=7, max_edges=12), defect_params(), st.data())
+def test_bad_covers_match_oracle(kernel, g, params, data):
+    t = data.draw(toughness_for(g.n, params))
+    bad = solver._bad_covers(g, params, t, DEFAULT_MAX_COVERS)
+    expect = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
+    assert [list(bits) for bits in bad] == expect
+
+
+@KERNEL_SETTINGS
+@given(multigraphs(max_n=6, max_edges=9), defect_params(), st.data())
+def test_deletion_check_matches_oracle(kernel, g, params, data):
+    t = data.draw(toughness_for(g.n, params))
+    edges = list(g.edges)
+    bad_covers, deletions_colorable = solver._kernel(g, params, t, DEFAULT_MAX_COVERS)
+    for bits in bad_covers:
+        expect = all(
+            oracles.cover_colorable(
+                g.n,
+                edges[:e] + edges[e + 1 :],
+                list(bits[:e] + bits[e + 1 :]),
+                params.i,
+                params.j,
+                list(t.poor),
+                list(t.rich),
+            )
+            for e in range(len(edges))
+        )
+        assert deletions_colorable(bits) == expect
+
+
+def test_deletion_check_matches_oracle_on_every_small_multiset(kernel):
+    # random draws rarely reach a bad cover whose deletions all color; this
+    # sweep holds about 1,200 of them among about 6,700 bad covers
+    for n in (2, 3, 4):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for m in range(1, 6):
+            for edges in combinations_with_replacement(pairs, m):
+                for i, j in ((0, 1), (0, 2), (1, 1), (1, 2)):
+                    bad_covers, deletions_colorable = solver._kernel(
+                        Multigraph(n, edges), DefectParams(i, j), None, DEFAULT_MAX_COVERS
+                    )
+                    for bits in bad_covers:
+                        expect = all(
+                            oracles.cover_colorable(
+                                n, list(edges[:e] + edges[e + 1 :]), list(bits[:e] + bits[e + 1 :]), i, j
+                            )
+                            for e in range(m)
+                        )
+                        assert deletions_colorable(bits) == expect
+
+
+@pytest.mark.parametrize("ij", [(0, 0), (0, 1), (1, 1)])
+def test_isolated_vertices_stay_out_of_the_recursion(ij):
+    # 1094 isolated vertices on a 6-vertex path: beyond the tree's vertex cap,
+    # and deeper than the interpreter's recursion limit if each were a level
+    path = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    params = DefectParams(*ij)
+    assert is_colorable(Multigraph(1100, path), params) == is_colorable(Multigraph(6, path), params)
+
+
+def test_isolated_vertex_without_a_side_rules_out_every_map():
+    g = Multigraph(3, [(0, 1)])
+    t = Toughness.pairs([(0, 0), (0, 0), (1, 2)])
+    assert exhaustive_color(g, Cover((O,)), DefectParams(0, 1), t) is None
+    assert is_colorable(g, DefectParams(0, 1), t) == (False, Cover((E,)))
 
 
 @given(graph_cover_pairs(max_n=5, max_edges=5), defect_params())
