@@ -13,13 +13,21 @@ is the one place each regime's (a, b, k) is written:
 The first three give the scalar vertex potential a + t(v)(a - 2b), i_plus_one
 a pair-valued one, and equal none. All arithmetic is exact: potentials are
 ints, edge bounds are Fractions.
+
+No vertex subset is enumerated. A set's value, vertex weights minus b times
+its internal edges, is a unary term per vertex plus b per edge leaving the
+set, so its minimum under "these vertices in, those out" is one s-t minimum
+cut on n + 2 nodes (``_MinCut``). ``rho_graph`` and
+``sparsity.violating_subset`` reach their exact tie-breaks by forcing one
+vertex at a time, at most 2n max-flows a call. Both refuse graphs above
+DEFAULT_MAX_VERTICES = 24 unless the caller raises the limit.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 
@@ -129,29 +137,83 @@ def rho_set(g: Multigraph, params: DefectParams, t: Toughness, s: Iterable[int])
     return total - coeff * internal
 
 
-def _subset_values(g: Multigraph, weights: list[int], coeff: int) -> Iterator[tuple[int, int]]:
-    """Yield (mask, sum(weights[S]) - coeff * |E(G[S])|) for every nonempty S, masks ascending.
+class _MinCut:
+    """Minimum of val(S) = sum(weights[S]) - coeff * |E(G[S])| over S holding ins, avoiding outs.
 
-    Binary counting moves two vertices per step on average. gain[v], what adding v to S would
-    add now, is kept current per edge instance, so no value is recomputed and memory is O(n + |E|).
+    2 val(S) is the sum over v in S of 2 weights[v] - coeff deg(v), plus coeff times the number of
+    edge instances leaving S, so it is an s-t cut on n + 2 nodes with S on the source side (Picard
+    1976): a vertex pays a positive unary term on an arc to t and the negation of a negative one on
+    an arc from s (their sum is added back), and each bundle of parallel edges is one arc of
+    capacity coeff * multiplicity each way. A forced vertex gets an arc from s (in) or to t (out)
+    heavier than all the others together, so no minimum cut leaves it on the wrong side. Each call
+    is one Dinic max-flow in exact ints.
     """
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, w in g.edges:
-        nbrs[u].append(w)
-        nbrs[w].append(u)
-    gain = list(weights)
-    val = 0
-    for mask in range(1, 1 << g.n):
-        v = 0
-        while not mask >> v & 1:  # the trailing ones of mask - 1 leave S
-            for u in nbrs[v]:
-                gain[u] += coeff
-            val -= gain[v]
-            v += 1
-        val += gain[v]
-        for u in nbrs[v]:
-            gain[u] -= coeff
-        yield mask, val
+
+    def __init__(self, g: Multigraph, weights: list[int], coeff: int) -> None:
+        n = g.n
+        self.s, self.t = n, n + 1
+        self.cap = [[0] * (n + 2) for _ in range(n + 2)]
+        deg = [0] * n
+        for u, w in g.edges:
+            self.cap[u][w] += coeff
+            self.cap[w][u] += coeff
+            deg[u] += 1
+            deg[w] += 1
+        self.offset = 0
+        for v in range(n):
+            unary = 2 * weights[v] - coeff * deg[v]
+            if unary >= 0:
+                self.cap[v][self.t] = unary
+            else:
+                self.cap[self.s][v] = -unary
+                self.offset += unary
+        self.heavy = 1 + sum(map(sum, self.cap))
+        self.adj = [[w for w in range(n) if self.cap[v][w]] + [self.s, self.t] for v in range(n)]
+        self.adj += [list(range(n)), list(range(n))]
+        self.weights = weights
+
+    def value(self, members: list[int]) -> int:
+        """val(members) itself; each internal bundle sits twice in the arc matrix."""
+        internal = sum(self.cap[u][w] for u in members for w in members)
+        return sum(self.weights[v] for v in members) - internal // 2
+
+    def minimum(self, ins: Iterable[int], outs: Iterable[int]) -> int:
+        cap = [row[:] for row in self.cap]
+        s, t, adj = self.s, self.t, self.adj
+        for v in ins:
+            cap[s][v] += self.heavy
+        for v in outs:
+            cap[v][t] += self.heavy
+        flow = 0
+        while True:
+            level = [-1] * len(cap)
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for w in adj[u]:
+                    if level[w] < 0 and cap[u][w]:
+                        level[w] = level[u] + 1
+                        queue.append(w)
+            if level[t] < 0:
+                return (flow + self.offset) // 2
+            tried = [0] * len(cap)
+
+            def push(u: int, limit: int) -> int:
+                if u == t:
+                    return limit
+                while tried[u] < len(adj[u]):
+                    w = adj[u][tried[u]]
+                    if cap[u][w] and level[w] == level[u] + 1:
+                        got = push(w, min(limit, cap[u][w]))
+                        if got:
+                            cap[u][w] -= got
+                            cap[w][u] += got
+                            return got
+                    tried[u] += 1
+                return 0
+
+            while got := push(s, sum(cap[s])):
+                flow += got
 
 
 def rho_graph(
@@ -166,10 +228,14 @@ def rho_graph(
     Without t, every vertex has zero toughness: pairs in the j = i + 1
     regime, scalars otherwise.
 
-    Ties break to the lexicographically smallest subset (as a sorted id
-    tuple), so the answer is independent of enumeration strategy. The empty
-    set is excluded: its potential is always 0 and would clamp every
-    threshold comparison.
+    The value is a minimum s-t cut (``_MinCut``). Ties break to the
+    lexicographically smallest subset as a sorted id tuple, found by forcing:
+    the first vertex v* is the least v whose minimum with v in and every
+    lower vertex out is the overall one; then each later u is kept if forcing
+    it in still reaches the minimum and forced out if not, until the kept set
+    reaches it alone. That is at most 2n max-flows. The empty set is
+    excluded: its potential is always 0 and would clamp every threshold
+    comparison. Graphs above max_vertices (24 by default) are refused.
     """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
@@ -180,16 +246,19 @@ def rho_graph(
         t = Toughness.zero_pairs(g.n) if pairs else Toughness.zero(g.n)
     t.check(params, g.n)
     _, coeff, _ = _potential_row(params)
-    per_vertex = [rho_vertex(params, t, v) for v in range(g.n)]
-    best_val: int | None = None
-    best_key: tuple[int, ...] = ()
-    for mask, val in _subset_values(g, per_vertex, coeff):
-        if best_val is None or val <= best_val:
-            key = tuple(v for v in range(g.n) if mask >> v & 1)
-            if best_val is None or val < best_val or key < best_key:
-                best_val, best_key = val, key
-    assert best_val is not None
-    return best_val, frozenset(best_key)
+    cut = _MinCut(g, [rho_vertex(params, t, v) for v in range(g.n)], coeff)
+    firsts = [cut.minimum([v], range(v)) for v in range(g.n)]
+    best = min(firsts)
+    first = firsts.index(best)
+    kept, dropped = [first], list(range(first))
+    for u in range(first + 1, g.n):
+        if cut.value(kept) == best:
+            break
+        if cut.minimum(kept + [u], dropped) == best:
+            kept.append(u)
+        else:
+            dropped.append(u)
+    return best, frozenset(kept)
 
 
 def potential_threshold(params: DefectParams) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .cover import DEFAULT_MAX_COVERS
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
-from .potential import DEFAULT_MAX_VERTICES, Regime, _row, _subset_values, regime
+from .potential import DEFAULT_MAX_VERTICES, Regime, _MinCut, _row, regime
 from .solver import is_colorable
 
 
@@ -30,14 +30,28 @@ def _inequality(params: DefectParams) -> tuple[int, int, int]:
 def violating_subset(
     g: Multigraph, params: DefectParams, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> frozenset[int] | None:
-    """First vertex subset whose induced counts break the inequality, or None."""
+    """First vertex subset in numeric mask order whose induced counts break the inequality, or None.
+
+    Each test "some S with these vertices in and those out breaks it" is one minimum cut
+    (``potential._MinCut``). The top vertex is the least v that has a violating S with v in and
+    every higher vertex out; walking down from it, a vertex is left out whenever a violating set
+    survives without it. That is at most 2n max-flows. Graphs above max_vertices (24 by default)
+    are refused.
+    """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
     a, b, c = _inequality(params)
-    for mask, val in _subset_values(g, [a] * g.n, b):
-        if val < c:
-            return frozenset(v for v in range(g.n) if mask >> v & 1)
-    return None
+    cut = _MinCut(g, [a] * g.n, b)
+    top = next((v for v in range(g.n) if cut.minimum([v], range(v + 1, g.n)) < c), None)
+    if top is None:
+        return None
+    kept, dropped = [top], list(range(top + 1, g.n))
+    for u in range(top - 1, -1, -1):
+        if cut.minimum(kept, dropped + [u]) < c:
+            dropped.append(u)
+        else:
+            kept.append(u)
+    return frozenset(kept)
 
 
 def sparsity_guarantee(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 from hypothesis import strategies as st
 
@@ -64,6 +67,24 @@ def bounded_degree_graphs(draw, degree_cap: int, max_n: int = 7, max_edges: int 
         deg[u] += 1
         deg[v] += 1
     return Multigraph(n, tuple(edges))
+
+
+def every_small_multigraph(max_n: int = 4, max_edges: int = 5):
+    """Every edge multiset on 1..max_n vertices with at most max_edges edges, once each."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for e in range(max_edges + 1):
+            for edges in combinations_with_replacement(pairs, e):
+                yield Multigraph(n, edges)
+
+
+def seeded_multigraphs(seed: int, count: int, min_n: int, max_n: int):
+    """count random multigraphs on min_n..max_n vertices, half an edge to three edges a vertex."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(min_n, max_n)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n // 2, 3 * n))]
+        yield Multigraph(n, edges)
 
 
 @pytest.fixture(params=["tree", "search"])

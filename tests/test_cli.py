@@ -158,6 +158,11 @@ class TestVerify:
         assert code == 0
         assert "critical=SKIP" in out  # 2^18 covers exceed the verify default budget
 
+    def test_potential_skips_above_the_vertex_limit(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "iplusone", "--i", "2", "--m", "2")
+        assert code == 0
+        assert "n=42" in out and "potential=SKIP" in out  # over the 24-vertex default
+
     def test_missing_grid_flag(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "zeroj", "--j", "1")
         assert code == 2 and "--m" in err

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import multigraphs
+from conftest import every_small_multigraph, multigraphs, seeded_multigraphs
 from dpcolor.sparsity import _inequality
 from dpcolor import (
+    BudgetError,
     DefectParams,
     Multigraph,
     Regime,
@@ -26,6 +27,34 @@ from dpcolor import (
     scalar_constants,
     weight_w,
 )
+
+POTENTIAL_IJ = [(0, 1), (1, 3), (2, 4), (1, 2)]
+
+
+def _fixed_toughness(params: DefectParams, n: int) -> list[Toughness]:
+    """Zero, constant and cyclic toughness of the regime's kind; the constant one gives every
+    vertex potential 0 in the four regimes of POTENTIAL_IJ, so ties are everywhere."""
+    i, j = params.i, params.j
+    if regime(params) is Regime.I_PLUS_ONE:
+        return [
+            Toughness.zero_pairs(n),
+            Toughness.pairs([(1, j + 1)] * n),
+            Toughness.pairs([(v % (i + 2), 2 * v % (j + 2)) for v in range(n)]),
+        ]
+    return [
+        Toughness.zero(n),
+        Toughness.scalar([j] * n),
+        Toughness.scalar([v % (j + 2) for v in range(n)]),
+    ]
+
+
+def _rho_oracle(g: Multigraph, params: DefectParams, t: Toughness) -> tuple[int, tuple[int, ...]]:
+    if regime(params) is Regime.I_PLUS_ONE:
+        coeff = params.i * params.i + 3 * params.i + 1
+    else:
+        coeff = scalar_constants(params)[1]
+    per_vertex = [rho_vertex(params, t, v) for v in range(g.n)]
+    return oracles.subset_potential_minimum(g.n, list(g.edges), per_vertex, coeff)
 
 
 class TestRegime:
@@ -149,6 +178,13 @@ class TestRhoGraph:
             ip.graph, ip.params, Toughness.zero_pairs(ip.graph.n)
         )
 
+    def test_vertex_limit_is_a_budget(self):
+        with pytest.raises(BudgetError, match="^graph has 25 vertices, limit is 24$"):
+            rho_graph(Multigraph(25, ()), DefectParams(0, 1))
+        inst = build_iplusone(2, 2)  # n = 42: 2^42 subsets, at most 84 max-flows
+        value, _ = rho_graph(inst.graph, inst.params, max_vertices=64)
+        assert value <= potential_threshold(inst.params)
+
     def test_equal_regime_rejected(self):
         inst = build_equal(1, 1)
         with pytest.raises(ValueError):
@@ -175,16 +211,25 @@ def test_rho_set_matches_oracle_on_random_subsets(g, ij, data):
     if g.n == 0:
         return
     value, argmin = rho_graph(g, params, t)
-    per_vertex = [rho_vertex(params, t, v) for v in range(g.n)]
-    coeff = (
-        params.i * params.i + 3 * params.i + 1
-        if regime(params) is Regime.I_PLUS_ONE
-        else scalar_constants(params)[1]
-    )
-    expect_val, expect_set = oracles.subset_potential_minimum(
-        g.n, list(g.edges), per_vertex, coeff
-    )
-    assert (value, tuple(sorted(argmin))) == (expect_val, expect_set)
+    assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t)
+
+
+def test_rho_graph_matches_oracle_on_every_small_multiset():
+    for g in every_small_multigraph():
+        for ij in POTENTIAL_IJ:
+            params = DefectParams(*ij)
+            for t in _fixed_toughness(params, g.n):
+                value, argmin = rho_graph(g, params, t)
+                assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t), (g, ij, t)
+
+
+def test_rho_graph_matches_oracle_on_seeded_larger_graphs():
+    """n = 10..13 makes the forcing walk long, beyond the hypothesis suites' n <= 7."""
+    for k, g in enumerate(seeded_multigraphs(seed=9, count=12, min_n=10, max_n=13)):
+        params = DefectParams(*POTENTIAL_IJ[k % 4])
+        t = _fixed_toughness(params, g.n)[k % 3]
+        value, argmin = rho_graph(g, params, t)
+        assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t), (g, params, t)
 
 
 @given(multigraphs(max_n=6, max_edges=6), st.data())

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import defect_params, multigraphs
+from conftest import defect_params, every_small_multigraph, multigraphs, seeded_multigraphs
 from dpcolor import (
     BudgetError,
     DefectParams,
@@ -60,8 +60,11 @@ class TestGuarantee:
             sparsity_guarantee(Multigraph(1, ()), DefectParams(0, 0))
 
     def test_size_limit(self):
-        with pytest.raises(BudgetError):
+        message = "^graph has 25 vertices, limit is 24$"
+        with pytest.raises(BudgetError, match=message):
             sparsity_guarantee(Multigraph(25, ()), P01)
+        with pytest.raises(BudgetError, match=message):
+            violating_subset(Multigraph(25, ()), DefectParams(1, 2))
 
 
 class TestGuaranteeImpliesColorable:
@@ -95,16 +98,37 @@ def test_guarantee_oracle_holds_on_small_random_graphs(g, params, _):
     assert guarantee_implies_colorable(g, params)
 
 
-@pytest.mark.parametrize(
-    "ij", [(0, 1), (0, 3), (1, 3), (2, 6), (2, 4), (3, 5), (1, 2), (2, 3), (1, 1), (2, 2)]
-)
+SPARSITY_IJ = [(0, 1), (0, 3), (1, 3), (2, 6), (2, 4), (3, 5), (1, 2), (2, 3), (1, 1), (2, 2)]
+
+
+def _first_violation(g: Multigraph, params: DefectParams) -> tuple[int, ...] | None:
+    within = partial(WITHIN[regime(params)], params.i, params.j)
+    return oracles.first_violating_subset(g.n, list(g.edges), within)
+
+
+@pytest.mark.parametrize("ij", SPARSITY_IJ)
 @given(g=multigraphs(max_n=7, max_edges=14))
 # A 5-cycle with two chords: 7|V| - 5|E| is 0 on the whole graph and positive on every proper
 # subset, so (1, 2) holds with equality, a boundary that random draws almost never reach.
 @example(g=Multigraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (0, 3))))
 def test_violating_subset_matches_oracle(g, ij):
     params = DefectParams(*ij)
-    within = partial(WITHIN[regime(params)], *ij)
-    expect = oracles.first_violating_subset(g.n, list(g.edges), within)
     got = violating_subset(g, params)
-    assert (None if got is None else tuple(sorted(got))) == expect
+    assert (None if got is None else tuple(sorted(got))) == _first_violation(g, params)
+
+
+def test_violating_subset_matches_oracle_on_every_small_multiset():
+    for g in every_small_multigraph():
+        for ij in SPARSITY_IJ:
+            params = DefectParams(*ij)
+            got = violating_subset(g, params)
+            assert (None if got is None else tuple(sorted(got))) == _first_violation(g, params)
+
+
+def test_violating_subset_matches_oracle_on_seeded_larger_graphs():
+    """n = 10..13 makes the forcing walk long, beyond the hypothesis suites' n <= 7."""
+    for k, g in enumerate(seeded_multigraphs(seed=9, count=20, min_n=10, max_n=13)):
+        params = DefectParams(*SPARSITY_IJ[k % len(SPARSITY_IJ)])
+        got = violating_subset(g, params)
+        expect = _first_violation(g, params)
+        assert (None if got is None else tuple(sorted(got))) == expect, (g, params)
