@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, groupby, permutations, product
 
-from .cover import DEFAULT_MAX_COVERS
+from .cover import DEFAULT_MAX_COVERS, _parity_vectors
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 from .potential import (
     _POTENTIAL_REGIMES,
@@ -54,8 +55,14 @@ def is_critical(
     G - uv under the restricted cover, give v the side that uv's matching
     does not join to u's chosen vertex: uv then conflicts nowhere, and v has
     no conflict at all. So G is colorable whenever G - uv is, and G is not
-    critical either way. The rule runs after the budget and toughness checks,
-    so those raise exactly as for is_colorable.
+    critical either way.
+
+    A disconnected G is ruled out for any toughness. Covers and side maps
+    factor over components, so G is colorable exactly when every component
+    is. If G is uncolorable and has no isolated vertex, some component G1 is
+    uncolorable, and any other component has an edge e; G - e still contains
+    G1, so it is uncolorable too. Both rules run after the budget and
+    toughness checks, so those raise exactly as for is_colorable.
     """
     deg = [len(inc) for inc in g.incidence()]
     if 0 in deg:
@@ -63,7 +70,7 @@ def is_critical(
     if t is None:
         t = Toughness.zero(g.n)
     bad_covers, deletions_colorable = _kernel(g, params, t, max_covers)
-    if any(
+    if not g.is_connected() or any(
         deg[v] == 1 and t.poor[v] <= params.i and t.rich[v] <= params.j for v in range(g.n)
     ):
         return False
@@ -128,10 +135,19 @@ def fdp_search(
 ) -> tuple[int, Multigraph] | None:
     """Smallest edge count of an n-vertex critical multigraph, with a witness.
 
-    Enumerates every edge multiset over the unordered vertex pairs, complete
-    but redundant under isomorphism, starting at the regime lower bound
-    (nothing below it can be critical) and giving up above max_edges. The
-    witness is the first critical graph in enumeration order.
+    Enumerates every edge multiset over the unordered vertex pairs, starting
+    at the regime lower bound (nothing below it can be critical) and giving
+    up above max_edges, and decides each isomorphism class once. The degrees
+    of each multiset come first: one with an isolated vertex is skipped, as
+    is_critical rejects it before any check; one with a degree-1 vertex is
+    skipped after the budget check is_critical would make, since under zero
+    toughness its degree-1 rule always applies. Any other multiset runs
+    is_critical only if its canonical key (_canonical_key) is new; a class
+    seen before was not critical, or the search would have stopped there.
+    is_critical ignores vertex labels and edge order under zero toughness, so
+    every multiset still gets its own verdict in enumeration order: the
+    witness is the first critical multiset, and a BudgetError is raised
+    where it was raised without the cache.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -140,9 +156,51 @@ def fdp_search(
     floor = max(math.ceil(edge_bound(params, n)), 1)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     t = Toughness.zero(n)
+    not_critical: set[tuple[tuple[int, int], ...]] = set()
     for e in range(floor, max_edges + 1):
         for combo in combinations_with_replacement(pairs, e):
+            deg = [0] * n
+            for u, v in combo:
+                deg[u] += 1
+                deg[v] += 1
+            if 0 in deg:
+                continue
+            _parity_vectors(e, max_covers)  # is_critical's budget check, same message
+            if 1 in deg:
+                continue
+            key = _canonical_key(combo, deg)
+            if key in not_critical:
+                continue
             g = Multigraph(n, combo)
             if is_critical(g, params, t, max_covers=max_covers):
                 return e, g
+            not_critical.add(key)
     return None
+
+
+def _canonical_key(
+    edges: Sequence[tuple[int, int]], deg: list[int]
+) -> tuple[tuple[int, int], ...]:
+    """One key per isomorphism class of loop-free multigraphs on len(deg) vertices.
+
+    Vertices are ordered by an invariant, their degree and then their sorted
+    neighbour degrees (one per edge instance), and take consecutive labels in
+    that order; the key is the least sorted relabeled edge tuple over the
+    permutations inside each class of equal invariants. An isomorphism maps
+    these labelings of one multigraph onto those of the other, so isomorphic
+    multigraphs get the same key, and the key is itself a relabeling of each
+    multigraph that has it.
+    """
+    near: list[list[int]] = [[] for _ in deg]
+    for u, v in edges:
+        near[u].append(deg[v])
+        near[v].append(deg[u])
+    invariant = [(d, sorted(ds)) for d, ds in zip(deg, near)]
+    order = sorted(range(len(deg)), key=invariant.__getitem__)
+    classes = [tuple(c) for _, c in groupby(order, key=invariant.__getitem__)]
+
+    def relabeled(perm: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
+        label = {old: new for new, old in enumerate(chain.from_iterable(perm))}
+        return tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in edges))
+
+    return min(map(relabeled, product(*map(permutations, classes))))

@@ -7,7 +7,7 @@ code, so tests can cross-check the fast paths against a second route.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from typing import Callable
 
 
@@ -161,3 +161,11 @@ def first_violating_subset(
         if not within(len(members), ne):
             return members
     return None
+
+
+def isomorphic(n: int, a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
+    """Some relabeling of the n vertices maps edge multiset a onto b (all n! tried)."""
+    want = sorted(tuple(sorted(edge)) for edge in b)
+    return any(
+        sorted(tuple(sorted((p[u], p[v]))) for u, v in a) == want for p in permutations(range(n))
+    )

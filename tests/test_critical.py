@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import defect_params, multigraphs, toughness_for
+from conftest import defect_params, every_small_multigraph, multigraphs, toughness_for
 from dpcolor import (
     BudgetError,
     DefectParams,
@@ -18,9 +19,12 @@ from dpcolor import (
     build_equal,
     build_large,
     check_bounds,
+    edge_bound,
     fdp_search,
     is_critical,
 )
+from dpcolor.cli import main
+from dpcolor.critical import _canonical_key
 
 TRIPLE = Multigraph(2, [(0, 1)] * 3)
 P01 = DefectParams(0, 1)
@@ -64,6 +68,7 @@ class TestIsCritical:
             (TRIPLE, P01, True),
             (build_equal(1, 1).graph, DefectParams(1, 1), True),
             (Multigraph(3, [(0, 1)] * 3 + [(1, 2)]), P01, False),
+            (Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3), P01, False),
         ],
     )
     def test_max_covers_caps_the_one_scan(self, g, params, expected):
@@ -71,6 +76,13 @@ class TestIsCritical:
         with pytest.raises(BudgetError):
             is_critical(g, params, max_covers=2**m - 1)
         assert is_critical(g, params, max_covers=2**m) is expected
+
+    def test_disconnected_graph_rejected(self, kernel):
+        # each triple edge alone is critical; together, deleting an edge of
+        # one leaves the other uncolorable
+        g = Multigraph(4, [(0, 1)] * 3 + [(2, 3)] * 3)
+        assert is_critical(g, P01) is False
+        assert oracles.critical(4, list(g.edges), 0, 1) is False
 
     def test_toughness_checked_before_the_degree_one_rule(self):
         g = Multigraph(3, [(0, 1)] * 3 + [(1, 2)])
@@ -125,6 +137,106 @@ def test_is_critical_matches_oracle_on_every_small_multiset():
                 for i, j in ((0, 1), (0, 2), (1, 1), (1, 2)):
                     expected = oracles.critical(n, list(combo), i, j)
                     assert is_critical(Multigraph(n, combo), DefectParams(i, j)) == expected
+
+
+def _key(n, edges):
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return _canonical_key(edges, deg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=6, max_edges=10, min_n=1), st.data())
+def test_canonical_key_ignores_labels_and_edge_order(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    shuffled = data.draw(st.permutations([(perm[u], perm[v]) for u, v in g.edges]))
+    assert _key(g.n, shuffled) == _key(g.n, list(g.edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=6, max_edges=10, min_n=1), st.data())
+def test_equal_canonical_keys_only_for_isomorphic_multisets(g, data):
+    # the second multiset is a relabeling of the first with up to two edges
+    # moved, so it often keeps the degree sequence without being isomorphic
+    n, a = g.n, list(g.edges)
+    perm = data.draw(st.permutations(range(n)))
+    b = [(perm[u], perm[v]) for u, v in a]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(data.draw(st.integers(0, 2)) if b else 0):
+        b[data.draw(st.integers(0, len(b) - 1))] = data.draw(st.sampled_from(pairs))
+    assert (_key(n, a) == _key(n, b)) == oracles.isomorphic(n, a, b)
+
+
+def test_canonical_key_is_a_class_invariant_on_small_multisets():
+    # a key that is a relabeling of its multiset and the same for every
+    # relabeling is exact: equal keys then mean isomorphic multisets
+    c6 = Multigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    two_triangles = Multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    k33 = Multigraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    prism = Multigraph(6, list(two_triangles.edges) + [(0, 3), (1, 4), (2, 5)])
+    # regular graphs give every vertex the same invariant, so all n! labelings are tried
+    for g in (c6, two_triangles, k33, prism):
+        assert oracles.isomorphic(6, list(g.edges), list(_key(6, g.edges)))
+    assert _key(6, c6.edges) != _key(6, two_triangles.edges)
+    assert _key(6, k33.edges) != _key(6, prism.edges)
+    for g in every_small_multigraph(max_n=4, max_edges=5):
+        key = _key(g.n, g.edges)
+        assert oracles.isomorphic(g.n, list(g.edges), list(key))
+        for p in permutations(range(g.n)):
+            assert _key(g.n, [(p[u], p[v]) for u, v in g.edges]) == key
+
+
+def _first_critical_multiset(params, n, max_edges):
+    """fdp_search without the isomorphism cache: every multiset through oracles.critical."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    floor = max(math.ceil(edge_bound(params, n)), 1)
+    enumeration = (
+        combo for e in range(floor, max_edges + 1) for combo in combinations_with_replacement(pairs, e)
+    )
+    return next(
+        (combo for combo in enumeration if oracles.critical(n, list(combo), params.i, params.j)),
+        None,
+    )
+
+
+ALL_CELLS = [(i, j) for i in range(3) for j in range(i, 5) if (i, j) != (0, 0)]
+
+
+# the oracle's cost grows as 2^|E| per multiset, so larger n stop earlier
+@pytest.mark.parametrize("n, max_edges", [(1, 9), (2, 9), (3, 8), (4, 7)])
+@pytest.mark.parametrize("i, j", ALL_CELLS)
+def test_fdp_search_matches_uncached_reference(i, j, n, max_edges):
+    found = fdp_search(DefectParams(i, j), n, max_edges=max_edges)
+    expected = _first_critical_multiset(DefectParams(i, j), n, max_edges)
+    if expected is None:
+        assert found is None
+    else:
+        assert found == (len(expected), Multigraph(n, expected))
+
+
+@pytest.mark.parametrize(
+    "i, j, witness",
+    [
+        (0, 1, "01 01 02 03 24 34"),
+        (0, 2, "01 01 01 02 03 24 34"),
+        (1, 1, "01 01 02 03 04 23 24"),
+        (1, 2, "01 01 02 02 03 04 34 34"),
+        (1, 3, "01 01 02 02 03 03 04 04"),
+    ],
+)
+def test_fdp_search_five_vertex_witnesses(i, j, witness):
+    edges = [(int(uv[0]), int(uv[1])) for uv in witness.split()]
+    assert fdp_search(DefectParams(i, j), 5) == (len(edges), Multigraph(5, edges))
+
+
+def test_fdp_budget_raises_where_the_uncached_search_did(capsys):
+    # the first level of (1, 2) at n = 5 has 8 edges; 2^8 > 100 raises there
+    assert main(["fdp", "--n", "5", "--i", "1", "--j", "2", "--max-covers", "100"]) == 2
+    assert capsys.readouterr().err.strip() == "error: 2^8 covers exceed the limit of 100"
+    assert main(["fdp", "--n", "4", "--i", "1", "--j", "2", "--max-covers", "100"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "fdp 6"
 
 
 class TestCheckBounds:
