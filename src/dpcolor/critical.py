@@ -19,7 +19,7 @@ from .potential import (
     regime,
     rho_graph,
 )
-from .solver import _kernel
+from .solver import _fold, _kernel, _scan_checked
 from .solver import is_colorable  # noqa: F401  (bench/tracer.py wraps critical.is_colorable)
 
 DEFAULT_MAX_SEARCH_VERTICES = 5
@@ -39,16 +39,15 @@ def is_critical(
     subgraphs, except when a vertex is isolated; an isolated vertex always
     takes its rich side at degree 0, so such graphs are rejected outright.
 
-    One scan of G's covers decides every deletion. Each cover of G - e is the
-    restriction of a cover of G, and deleting an edge only removes conflicts,
-    so the restriction of a colorable cover stays colorable. G - e is
-    therefore colorable exactly when the restriction of every uncolorable
-    cover of G is. Toughness carries over, because G - e has the same
-    vertices. max_covers caps that one 2^|E| scan, as it does for
-    is_colorable. Up to solver._TREE_MAX_VERTICES vertices the scan is the
-    bit-parallel cover tree, and each uncolorable cover's |E| deletions are
-    read off its leaf masks; above it, each cover is one branch-and-bound,
-    and so is each deletion of an uncolorable one.
+    The checks on G come first, in this order: an isolated vertex, then the
+    budget (max_covers bounds G's raw 2^|E|, as for is_colorable), then G's
+    toughness, then the two rules below. Only then is anything scanned.
+
+    A disconnected G is ruled out for any toughness. Covers and side maps
+    factor over components, so G is colorable exactly when every component
+    is. If G is uncolorable and has no isolated vertex, some component G1 is
+    uncolorable, and any other component has an edge e; G - e still contains
+    G1, so it is uncolorable too.
 
     A vertex v of degree 1 whose caps i - t_p(v) and j - t_r(v) are both
     non-negative also rules G out. Let uv be its edge. Given a coloring of
@@ -57,23 +56,39 @@ def is_critical(
     no conflict at all. So G is colorable whenever G - uv is, and G is not
     critical either way.
 
-    A disconnected G is ruled out for any toughness. Covers and side maps
-    factor over components, so G is colorable exactly when every component
-    is. If G is uncolorable and has no isolated vertex, some component G1 is
-    uncolorable, and any other component has an edge e; G - e still contains
-    G1, so it is uncolorable too. Both rules run after the budget and
-    toughness checks, so those raise exactly as for is_colorable.
+    What is scanned is the core H of G without its flags, with each base's
+    caps lowered by one per flag folded there (solver._fold). A flag x is a
+    vertex of degree 2 with both edges to one base v, and it folds only if
+    both of its caps are non-negative and one is at least 1; _fold shows
+    that G is colorable over every cover exactly when H is. The min-cap
+    condition matters: a flag end with a negative cap may be forced to the
+    side on which both of its edges conflict at v, which the fold would miss.
+    Deleting an edge of H leaves every flag in place, so G - e is H - e with
+    the same caps. Deleting a flag edge leaves x pendant, and a pendant
+    vertex with both caps non-negative never conflicts (as above), so G - e
+    is H with v's caps raised back by one: the base relaxation. G is
+    critical exactly when H is uncolorable, every H - e is colorable, and H
+    is colorable after each base relaxation.
+
+    One scan of H's covers decides all of these. Each cover of H - e is the
+    restriction of a cover of H, and deleting an edge only removes
+    conflicts, so the restriction of a colorable cover stays colorable;
+    raising caps keeps a colorable cover colorable too. So only H's
+    uncolorable covers need the deletion and relaxation checks. Up to
+    solver._TREE_MAX_VERTICES vertices the scan is the bit-parallel cover
+    tree, and each uncolorable cover's checks are read off its leaf masks;
+    above it, each cover is one branch-and-bound, and so is each check of an
+    uncolorable one.
     """
     deg = [len(inc) for inc in g.incidence()]
     if 0 in deg:
         return False
-    if t is None:
-        t = Toughness.zero(g.n)
-    bad_covers, deletions_colorable = _kernel(g, params, t, max_covers)
+    t = _scan_checked(g, params, t, max_covers)
     if not g.is_connected() or any(
         deg[v] == 1 and t.poor[v] <= params.i and t.rich[v] <= params.j for v in range(g.n)
     ):
         return False
+    bad_covers, deletions_colorable = _kernel(*_fold(g, params, t))
     uncolorable = False
     for bits in bad_covers:
         uncolorable = True

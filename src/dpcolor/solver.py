@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, Side, _check_cover, _parity_vectors
@@ -9,9 +10,13 @@ from .graph import BudgetError, DefectParams, Multigraph, Toughness
 
 DEFAULT_MAX_VERTICES = 32
 
+# caps[v][side]: the most conflicts v may take on a side, indexed by the Side
+# integer (RICH = 0, POOR = 1); a negative cap rules that side out
+Caps = Sequence[tuple[int, int]]
+
 
 class _Search:
-    """Reusable branch-and-bound state for one (graph, params, toughness).
+    """Reusable branch-and-bound state for one graph and its caps.
 
     Vertices are assigned in descending-degree order (ties by id), rich side
     first. A branch dies as soon as any assigned vertex's conflict count over
@@ -19,13 +24,12 @@ class _Search:
     prune is sound and the first leaf reached is the deterministic witness.
     """
 
-    def __init__(self, g: Multigraph, params: DefectParams, t: Toughness):
+    def __init__(self, g: Multigraph, caps: Caps):
         self.n = g.n
         self.incident = g.incidence()
         deg = [len(inc) for inc in self.incident]
         self.order = sorted((v for v in range(g.n) if deg[v]), key=lambda v: (-deg[v], v))
-        # cap[v][side], indexed by the Side integer (RICH = 0, POOR = 1)
-        self.cap = [(params.j - t.rich[v], params.i - t.poor[v]) for v in range(g.n)]
+        self.cap = caps
         # An isolated vertex never conflicts, so it takes its first side with a
         # non-negative cap, rich first, before the search: the recursion only
         # goes as deep as the non-isolated vertices. With neither side, no map exists.
@@ -87,6 +91,52 @@ def _checked(g: Multigraph, params: DefectParams, t: Toughness | None) -> Toughn
     return t
 
 
+def _scan_checked(
+    g: Multigraph, params: DefectParams, t: Toughness | None, max_covers: int
+) -> Toughness:
+    """The checks every all-cover scan makes at its call: the budget on G's raw
+    2^|E| covers, then G's toughness."""
+    _parity_vectors(len(g.edges), max_covers)
+    return _checked(g, params, t)
+
+
+def _caps(params: DefectParams, t: Toughness) -> list[tuple[int, int]]:
+    """Per vertex v, (j - t_r(v), i - t_p(v)): its rich and poor caps."""
+    return [(params.j - tr, params.i - tp) for tp, tr in zip(t.poor, t.rich)]
+
+
+def _fold(
+    g: Multigraph, params: DefectParams, t: Toughness
+) -> tuple[Multigraph, list[tuple[int, int]], list[int]]:
+    """The core H of g without its flags, H's caps, and the bases of the flags.
+
+    A flag is a vertex x of degree 2 whose two edges both go to one base v,
+    and it folds when both of its caps are non-negative and one is at least 1.
+    If the cover gives the two edges different parities, exactly one of them
+    conflicts whatever the sides, so v and x each take one conflict, which x
+    can afford on a side with cap >= 1. If they agree, x takes the side on
+    which neither conflicts, which its non-negative caps allow wherever v lies.
+    More conflicts never help, so g is colorable over every cover exactly when
+    H is with each base's caps lowered by one per flag folded there. Only
+    vertices of g fold, with no cascade; in a bare digon one end stays as the
+    base. H keeps g's vertex and edge order, and the bases are H's ids of the
+    vertices with a flag folded, in ascending order.
+    """
+    caps = _caps(params, t)
+    incident = g.incidence()
+    folded = [0] * g.n  # flags folded at each base
+    flags = set()
+    for x, inc in enumerate(incident):
+        if len(inc) != 2 or inc[0][0] != inc[1][0] or inc[0][0] in flags:
+            continue
+        if min(caps[x]) >= 0 and max(caps[x]) >= 1:
+            flags.add(x)
+            folded[inc[0][0]] += 1
+    h, keep = g.induced_subgraph(v for v in range(g.n) if v not in flags)
+    h_caps = [(caps[v][0] - folded[v], caps[v][1] - folded[v]) for v in keep]
+    return h, h_caps, [k for k, v in enumerate(keep) if folded[v]]
+
+
 def exhaustive_color(
     g: Multigraph,
     c: Cover,
@@ -103,7 +153,7 @@ def exhaustive_color(
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
     _check_cover(g, c)
-    sides = _Search(g, params, _checked(g, params, t)).run([int(p) for p in c.parities])
+    sides = _Search(g, _caps(params, _checked(g, params, t))).run([int(p) for p in c.parities])
     if sides is None:
         return None
     return PhiMap(tuple(Side(s) for s in sides))
@@ -159,9 +209,14 @@ def is_colorable(
     Returns (True, None), or (False, w) where w is the lexicographically
     first cover with no coloring: covers are scanned in lex order (edge 0
     most significant, E < O) and the scan stops at the first failure.
+    max_covers bounds G's raw 2^|E|. The verdict comes from the scan of g
+    without its flags (_fold); only an uncolorable g is scanned itself, for
+    the witness.
     """
-    bad = next(_bad_covers(g, params, t, max_covers), None)
-    return (True, None) if bad is None else (False, Cover(bad))
+    t = _scan_checked(g, params, t, max_covers)
+    if next(_kernel(*_fold(g, params, t))[0], None) is None:
+        return True, None
+    return False, Cover(next(_kernel(g, _caps(params, t))[0]))
 
 
 def _bad_covers(
@@ -173,31 +228,37 @@ def _bad_covers(
     first step of the returned iterator. Small graphs are scanned by the cover
     tree, larger ones one branch-and-bound per cover (see _kernel).
     """
-    return _kernel(g, params, t, max_covers)[0]
+    return _kernel(g, _caps(params, _scan_checked(g, params, t, max_covers)))[0]
 
 
 def _kernel(
-    g: Multigraph, params: DefectParams, t: Toughness | None, max_covers: int
+    g: Multigraph, caps: Caps, bases: Sequence[int] = ()
 ) -> tuple[Iterator[tuple[int, ...]], Callable[[tuple[int, ...]], bool]]:
-    """The bad covers of g, and whether each g - e colors the one last yielded.
+    """The bad covers of g under caps, and whether the one last yielded colors
+    each g - e and g with the caps of each base in bases raised by one.
 
     Up to _TREE_MAX_VERTICES vertices both come from one _CoverTree, above from
-    one _Search per cover and per deletion, with the same answers in the same order.
+    one _Search per cover and per check, with the same answers in the same order.
     """
-    parities = _parity_vectors(len(g.edges), max_covers)
-    t = _checked(g, params, t)
     if g.n <= _TREE_MAX_VERTICES:
         tree = _CoverTree()
-        return tree.bad_covers(g, params, t), tree.deletions_colorable
-    search = _Search(g, params, t)
-    deletions: list[_Search] = []
+        return tree.bad_covers(g, caps, bases), tree.deletions_colorable
+    search = _Search(g, caps)
+    checks: list[tuple[_Search, int | None]] = []
 
     def deletions_colorable(bits: tuple[int, ...]) -> bool:
-        if not deletions:
-            deletions.extend(_Search(g.delete_edge(e), params, t) for e in range(len(g.edges)))
+        if not checks:
+            checks.extend((_Search(g.delete_edge(e), caps), e) for e in range(len(g.edges)))
+            for v in bases:
+                raised = list(caps)
+                raised[v] = (caps[v][0] + 1, caps[v][1] + 1)
+                checks.append((_Search(g, raised), None))
         # delete_edge shifts later ids down, so dropping bit e restricts the cover
-        return all(s.run(bits[:e] + bits[e + 1 :]) is not None for e, s in enumerate(deletions))
+        return all(
+            s.run(bits if e is None else bits[:e] + bits[e + 1 :]) is not None for s, e in checks
+        )
 
+    parities = product((0, 1), repeat=len(g.edges))
     return (bits for bits in parities if search.run(bits) is None), deletions_colorable
 
 
@@ -219,10 +280,8 @@ class _CoverTree:
     """
 
     def bad_covers(
-        self, g: Multigraph, params: DefectParams, t: Toughness
+        self, g: Multigraph, caps: Caps, bases: Sequence[int]
     ) -> Iterator[tuple[int, ...]]:
-        # the masks are built at the first step: is_critical may reject g
-        # (degree-1 rule) after the checks, and then it pays nothing here
         n, self.edges = g.n, g.edges
         self.full = full = (1 << (1 << n)) - 1
         poor = []
@@ -233,9 +292,11 @@ class _CoverTree:
         # per vertex: poor maps, rich maps and the conflict count that breaks
         # each side's cap (0 for a side whose cap is negative)
         self.sides = [
-            (p, full ^ p, max(params.i - tp + 1, 0), max(params.j - tr + 1, 0))
-            for p, tp, tr in zip(poor, t.poor, t.rich)
+            (p, full ^ p, max(cp + 1, 0), max(cr + 1, 0)) for p, (cr, cp) in zip(poor, caps)
         ]
+        # per base, the counts that break its caps raised by one; a cap below
+        # -1 stays negative, so its count stays 0 and is not a + 1
+        self.raised = [(v, max(caps[v][1] + 2, 0), max(caps[v][0] + 2, 0)) for v in bases]
         self.T = [[full] + [0] * (max(kp, kr) + 1) for _, _, kp, kr in self.sides]
         self.start = full
         for ok in self._allowed():
@@ -289,10 +350,12 @@ class _CoverTree:
         T[u], T[w] = tu, tw
 
     def deletions_colorable(self, bits: tuple[int, ...]) -> bool:
-        """Whether each g - e is colorable under the leaf's cover restricted to it.
+        """Whether each g - e, and g with each base's caps raised by one, is
+        colorable under the leaf's cover restricted to it.
 
         Deleting e = uw lowers the counts at u and w by one on e's conflict
-        mask c; every other vertex keeps the maps it allows at the leaf.
+        mask c; raising a base's caps reads its masks one count higher. Every
+        other vertex keeps the maps it allows at the leaf.
         """
         T, allowed = self.T, self._allowed()
         for e, (u, w) in enumerate(self.edges):
@@ -303,6 +366,15 @@ class _CoverTree:
                     p, r, a, b = self.sides[v]
                     ok = ~(p & (T[v][a + 1] | T[v][a] & ~c) | r & (T[v][b + 1] | T[v][b] & ~c))
                 maps &= ok
+            if not maps:
+                return False
+        for base, a, b in self.raised:
+            # not self.start, which holds the base's caps before they are raised
+            p, r, _, _ = self.sides[base]
+            maps = ~(p & T[base][a] | r & T[base][b]) & self.full
+            for v, ok in enumerate(allowed):
+                if v != base:
+                    maps &= ok
             if not maps:
                 return False
         return True

@@ -69,6 +69,20 @@ def bounded_degree_graphs(draw, degree_cap: int, max_n: int = 7, max_edges: int 
     return Multigraph(n, tuple(edges))
 
 
+@st.composite
+def flagged_multigraphs(draw, max_core_n: int = 4, max_core_edges: int = 4):
+    """A random core plus one to three flags, each a new vertex joined twice to
+    an earlier one, with every edge list shuffled."""
+    n = draw(st.integers(1, max_core_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=max_core_edges)) if pairs else []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.integers(0, n - 1))
+        edges += [(base, n), (n, base)]
+        n += 1
+    return Multigraph(n, tuple(draw(st.permutations(edges))))
+
+
 def every_small_multigraph(max_n: int = 4, max_edges: int = 5):
     """Every edge multiset on 1..max_n vertices with at most max_edges edges, once each."""
     for n in range(1, max_n + 1):

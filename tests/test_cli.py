@@ -117,6 +117,14 @@ class TestDecisionCommands:
         code, out, _ = run(capsys, "critical", "--graph", zeroj_file, "--i", "0", "--j", "1")
         assert code == 0 and out.strip() == "CRITICAL"
 
+    def test_critical_folds_flags_under_the_default_budget(self, capsys, tmp_path):
+        # n = 17, e = 24: 2^24 covers, exactly the default budget; its flags
+        # fold to a core of 9 vertices and 8 edges, so this answers at once
+        path = str(tmp_path / "g")
+        run(capsys, "gen", "--family", "iplusone", "--i", "1", "--m", "1", "--graph", path)
+        code, out, _ = run(capsys, "critical", "--graph", path, "--i", "1", "--j", "2")
+        assert code == 0 and out.strip() == "CRITICAL"
+
     def test_potential(self, capsys, zeroj_file):
         code, out, _ = run(capsys, "potential", "--graph", zeroj_file, "--i", "0", "--j", "1")
         assert code == 0
@@ -157,6 +165,11 @@ class TestVerify:
         )
         assert code == 0
         assert "critical=SKIP" in out  # 2^18 covers exceed the verify default budget
+
+    def test_budget_counts_the_edges_before_the_fold(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "iplusone", "--i", "1", "--m", "1")
+        assert code == 0
+        assert "e=24" in out and "critical=SKIP" in out  # the core's 8 edges would fit
 
     def test_potential_skips_above_the_vertex_limit(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "iplusone", "--i", "2", "--m", "2")

@@ -17,6 +17,7 @@ from dpcolor import (
     Regime,
     Toughness,
     build_equal,
+    build_family,
     build_large,
     check_bounds,
     edge_bound,
@@ -76,6 +77,12 @@ class TestIsCritical:
         with pytest.raises(BudgetError):
             is_critical(g, params, max_covers=2**m - 1)
         assert is_critical(g, params, max_covers=2**m) is expected
+
+    @pytest.mark.parametrize("family, i, m", [("iplusone", 2, 0), ("equal", 1, 5)])
+    def test_flagged_families_answer_through_the_fold(self, family, i, m):
+        # G has 31 and 20 edges, its core 7 and 10: the core's scan takes milliseconds
+        inst = build_family(family, i, None, m)
+        assert is_critical(inst.graph, inst.params, max_covers=2 ** len(inst.graph.edges))
 
     def test_disconnected_graph_rejected(self, kernel):
         # each triple edge alone is critical; together, deleting an edge of

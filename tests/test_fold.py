@@ -1,0 +1,124 @@
+"""Folding flags into caps: solver._fold and the verdicts that go through it.
+
+is_colorable and is_critical decide G from its core H, G without its flags,
+so each is checked against the oracles on graphs that carry flags, with
+toughness on the flags and their bases, on both scan kernels.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import defect_params, every_small_multigraph, flagged_multigraphs, toughness_for
+from dpcolor import (
+    DefectParams,
+    Multigraph,
+    Toughness,
+    build_family,
+    is_colorable,
+    is_critical,
+    solver,
+)
+
+CELLS = [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2), (2, 4)]
+KERNEL_SETTINGS = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@cache
+def oracle_answers(
+    n: int, edges: tuple, i: int, j: int, t_poor: tuple, t_rich: tuple
+) -> tuple[list[int] | None, bool]:
+    """The first bad cover and criticality, cached: the kernel fixture asks twice."""
+    args = (n, list(edges), i, j, list(t_poor), list(t_rich))
+    if oracles.colorable(*args):
+        return None, False
+    return oracles.first_bad_cover(*args), oracles.critical(*args)
+
+
+def assert_matches_oracles(g: Multigraph, params: DefectParams, t: Toughness) -> None:
+    first_bad, critical = oracle_answers(g.n, g.edges, params.i, params.j, t.poor, t.rich)
+    ok, witness = is_colorable(g, params, t)
+    assert ok == (first_bad is None)
+    assert (witness and [int(p) for p in witness.parities]) == first_bad
+    assert is_critical(g, params, t) == critical
+
+
+class TestFold:
+    def test_flags_leave_and_lower_their_base(self):
+        # two flags at vertex 1 of an edge 01
+        g = Multigraph(4, [(0, 1), (1, 2), (2, 1), (3, 1), (1, 3)])
+        h, caps, bases = solver._fold(g, DefectParams(1, 2), Toughness.zero(4))
+        assert h == Multigraph(2, [(0, 1)])
+        assert caps == [(2, 1), (0, -1)]
+        assert bases == [1]
+
+    def test_a_bare_digon_folds_one_end(self):
+        g = Multigraph(2, [(0, 1)] * 2)
+        h, caps, bases = solver._fold(g, DefectParams(1, 1), Toughness.zero(2))
+        assert h == Multigraph(1, ())
+        assert caps == [(0, 0)] and bases == [0]
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Toughness.pairs([(2, 0), (0, 0), (0, 0)]),  # poor cap -1 at vertex 0
+            Toughness.pairs([(0, 3), (0, 0), (0, 0)]),  # rich cap -1
+            Toughness.pairs([(1, 2), (0, 0), (0, 0)]),  # both caps 0
+        ],
+    )
+    def test_a_flag_needs_both_caps_and_one_above_zero(self, t):
+        g = Multigraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2)])
+        h, _, bases = solver._fold(g, DefectParams(1, 2), t)
+        assert (h, bases) == (g, [])
+
+    def test_folding_shrinks_the_families(self):
+        inst = build_family("iplusone", 1, None, 1)
+        h, _, _ = solver._fold(inst.graph, inst.params, Toughness.zero(inst.graph.n))
+        assert (inst.graph.n, len(inst.graph.edges)) == (17, 24)
+        assert (h.n, len(h.edges)) == (9, 8)
+
+
+@pytest.mark.parametrize(
+    "g, params, t",
+    [
+        # uncolorable: the flag end's poor cap is -1, so an equal-parity
+        # cover can put two conflicts on the base; folded, it answers colorable
+        (Multigraph(2, [(0, 1)] * 2), DefectParams(0, 2), Toughness.scalar([1, 1])),
+        # critical: vertex 1's poor cap is -1; folded, it answers colorable
+        (
+            Multigraph(3, [(0, 2), (0, 1), (0, 1), (0, 2)]),
+            DefectParams(0, 2),
+            Toughness.scalar([0, 1, 0]),
+        ),
+        # two flags at a base whose caps stay negative with one of them dropped
+        (
+            Multigraph(3, [(0, 1), (0, 1), (0, 2), (0, 2)]),
+            DefectParams(0, 1),
+            Toughness.pairs([(0, 2), (0, 0), (0, 0)]),
+        ),
+    ],
+)
+def test_negative_caps_match_oracles(kernel, g, params, t):
+    assert_matches_oracles(g, params, t)
+
+
+@KERNEL_SETTINGS
+@given(flagged_multigraphs(), defect_params(include_zero_zero=False), st.data())
+def test_flagged_graphs_match_oracles(kernel, g, params, data):
+    t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
+    assert_matches_oracles(g, params, t)
+
+
+def test_small_cores_with_a_flag_match_oracles(kernel):
+    # about 110 of these 3,675 graphs are critical
+    for core in every_small_multigraph():
+        g = Multigraph(core.n + 1, core.edges + ((0, core.n), (core.n, 0)))
+        for i, j in CELLS:
+            assert_matches_oracles(g, DefectParams(i, j), Toughness.zero(g.n))

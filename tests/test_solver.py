@@ -216,7 +216,7 @@ def test_bad_covers_match_oracle(kernel, g, params, data):
 def test_deletion_check_matches_oracle(kernel, g, params, data):
     t = data.draw(toughness_for(g.n, params))
     edges = list(g.edges)
-    bad_covers, deletions_colorable = solver._kernel(g, params, t, DEFAULT_MAX_COVERS)
+    bad_covers, deletions_colorable = solver._kernel(g, solver._caps(params, t))
     for bits in bad_covers:
         expect = all(
             oracles.cover_colorable(
@@ -242,7 +242,7 @@ def test_deletion_check_matches_oracle_on_every_small_multiset(kernel):
             for edges in combinations_with_replacement(pairs, m):
                 for i, j in ((0, 1), (0, 2), (1, 1), (1, 2)):
                     bad_covers, deletions_colorable = solver._kernel(
-                        Multigraph(n, edges), DefectParams(i, j), None, DEFAULT_MAX_COVERS
+                        Multigraph(n, edges), solver._caps(DefectParams(i, j), Toughness.zero(n))
                     )
                     for bits in bad_covers:
                         expect = all(
