@@ -20,7 +20,7 @@ set, so its minimum under "these vertices in, those out" is one s-t minimum
 cut on n + 2 nodes (``_MinCut``). ``rho_graph`` and
 ``sparsity.violating_subset`` reach their exact tie-breaks by forcing one
 vertex at a time, at most 2n max-flows a call. Both refuse graphs above
-DEFAULT_MAX_VERTICES = 24 unless the caller raises the limit.
+DEFAULT_MAX_VERTICES = 192 unless the caller raises the limit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 
-DEFAULT_MAX_VERTICES = 24
+DEFAULT_MAX_VERTICES = 192
 
 
 class Regime(Enum):
@@ -196,24 +196,32 @@ class _MinCut:
                         queue.append(w)
             if level[t] < 0:
                 return (flow + self.offset) // 2
+            # blocking flow: walk the level graph depth first on an explicit
+            # stack, where tried[u] is the next arc of u still worth trying
             tried = [0] * len(cap)
-
-            def push(u: int, limit: int) -> int:
+            path = [s]
+            while path:
+                u = path[-1]
                 if u == t:
-                    return limit
+                    arcs = list(zip(path, path[1:]))
+                    got = min(cap[a][b] for a, b in arcs)
+                    for a, b in arcs:
+                        cap[a][b] -= got
+                        cap[b][a] += got
+                    flow += got
+                    # resume from the tail of the first arc the path saturated
+                    del path[next(k for k, (a, b) in enumerate(arcs) if not cap[a][b]) + 1 :]
+                    continue
                 while tried[u] < len(adj[u]):
                     w = adj[u][tried[u]]
                     if cap[u][w] and level[w] == level[u] + 1:
-                        got = push(w, min(limit, cap[u][w]))
-                        if got:
-                            cap[u][w] -= got
-                            cap[w][u] += got
-                            return got
+                        path.append(w)
+                        break
                     tried[u] += 1
-                return 0
-
-            while got := push(s, sum(cap[s])):
-                flow += got
+                else:
+                    path.pop()
+                    if path:
+                        tried[path[-1]] += 1
 
 
 def rho_graph(
@@ -235,7 +243,7 @@ def rho_graph(
     it in still reaches the minimum and forced out if not, until the kept set
     reaches it alone. That is at most 2n max-flows. The empty set is
     excluded: its potential is always 0 and would clamp every threshold
-    comparison. Graphs above max_vertices (24 by default) are refused.
+    comparison. Graphs above max_vertices (192 by default) are refused.
     """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")

@@ -219,18 +219,6 @@ def is_colorable(
     return False, Cover(next(_kernel(g, _caps(params, t))[0]))
 
 
-def _bad_covers(
-    g: Multigraph, params: DefectParams, t: Toughness | None, max_covers: int
-) -> Iterator[tuple[int, ...]]:
-    """The parity vectors with no coloring, lazily and in lex order.
-
-    The budget and the toughness are checked here, at the call, not at the
-    first step of the returned iterator. Small graphs are scanned by the cover
-    tree, larger ones one branch-and-bound per cover (see _kernel).
-    """
-    return _kernel(g, _caps(params, _scan_checked(g, params, t, max_covers)))[0]
-
-
 def _kernel(
     g: Multigraph, caps: Caps, bases: Sequence[int] = ()
 ) -> tuple[Iterator[tuple[int, ...]], Callable[[tuple[int, ...]], bool]]:

@@ -35,7 +35,7 @@ def violating_subset(
     Each test "some S with these vertices in and those out breaks it" is one minimum cut
     (``potential._MinCut``). The top vertex is the least v that has a violating S with v in and
     every higher vertex out; walking down from it, a vertex is left out whenever a violating set
-    survives without it. That is at most 2n max-flows. Graphs above max_vertices (24 by default)
+    survives without it. That is at most 2n max-flows. Graphs above max_vertices (192 by default)
     are refused.
     """
     if g.n > max_vertices:

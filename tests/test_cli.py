@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from dpcolor import (
@@ -172,13 +174,68 @@ class TestVerify:
         assert "e=24" in out and "critical=SKIP" in out  # the core's 8 edges would fit
 
     def test_potential_skips_above_the_vertex_limit(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "iplusone", "--i", "2", "--m", "16")
+        assert code == 0
+        assert "n=196" in out and "potential=SKIP" in out  # over the 192-vertex default
+
+    def test_each_column_keeps_its_own_vertex_limit(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "iplusone", "--i", "2", "--m", "2")
         assert code == 0
-        assert "n=42" in out and "potential=SKIP" in out  # over the 24-vertex default
+        assert "n=42" in out and "badcover=SKIP" in out and "potential=PASS" in out
+
+    def test_critical_ignores_the_vertex_limit(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--family", "iplusone", "--i", "2", "--m", "0",
+            "--max-covers", "2147483648", "--max-n", "10",
+        )
+        assert code == 0
+        assert out.splitlines()[0].endswith("badcover=SKIP critical=PASS potential=SKIP")
 
     def test_missing_grid_flag(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "zeroj", "--j", "1")
         assert code == 2 and "--m" in err
+
+
+# per command, one flag that its handler does not read
+UNREAD_FLAGS = [
+    ("gen", ["--family", "zeroj", "--j", "1", "--m", "1"], ["--max-n", "3"]),
+    ("color", ["--graph", "g", "--cover", "c", "--i", "0", "--j", "0"], ["--max-covers", "8"]),
+    ("colorable", ["--graph", "g", "--i", "0", "--j", "1"], ["--max-n", "3"]),
+    ("critical", ["--graph", "g", "--i", "0", "--j", "1"], ["--max-n", "3"]),
+    ("potential", ["--graph", "g", "--i", "0", "--j", "1"], ["--cover", "c"]),
+    ("fdp", ["--n", "2", "--i", "0", "--j", "1"], ["--graph", "g"]),
+    ("sparsity", ["--graph", "g", "--i", "0", "--j", "1"], ["--max-covers", "8"]),
+    ("verify", ["--family", "zeroj", "--j", "1", "--m", "1"], ["--cover", "c"]),
+]
+
+
+@pytest.mark.parametrize("command, argv, unread", UNREAD_FLAGS, ids=[c for c, _, _ in UNREAD_FLAGS])
+def test_commands_reject_flags_they_do_not_read(capsys, command, argv, unread):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, *unread])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
+
+
+COMMAND_FLAGS = {
+    "gen": {"--family", "--i", "--j", "--m", "--graph", "--cover"},
+    "color": {"--solver", "--i", "--j", "--graph", "--cover", "--max-n"},
+    "colorable": {"--i", "--j", "--graph", "--max-covers"},
+    "critical": {"--i", "--j", "--graph", "--max-covers"},
+    "potential": {"--i", "--j", "--graph", "--max-n"},
+    "fdp": {"--n", "--max-edges", "--i", "--j", "--max-covers", "--max-n"},
+    "sparsity": {"--i", "--j", "--graph", "--max-n"},
+    "verify": {"--family", "--i", "--j", "--m", "--max-covers", "--max-n"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_help_lists_the_flags_the_handler_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == COMMAND_FLAGS[command] | {"--help", "--threads"}
 
 
 class TestRoundTrip:

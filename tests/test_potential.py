@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import every_small_multigraph, multigraphs, seeded_multigraphs
-from dpcolor.sparsity import _inequality
+from dpcolor.sparsity import _inequality, violating_subset
 from dpcolor import (
     BudgetError,
     DefectParams,
@@ -179,10 +180,10 @@ class TestRhoGraph:
         )
 
     def test_vertex_limit_is_a_budget(self):
-        with pytest.raises(BudgetError, match="^graph has 25 vertices, limit is 24$"):
-            rho_graph(Multigraph(25, ()), DefectParams(0, 1))
+        with pytest.raises(BudgetError, match="^graph has 193 vertices, limit is 192$"):
+            rho_graph(Multigraph(193, ()), DefectParams(0, 1))
         inst = build_iplusone(2, 2)  # n = 42: 2^42 subsets, at most 84 max-flows
-        value, _ = rho_graph(inst.graph, inst.params, max_vertices=64)
+        value, _ = rho_graph(inst.graph, inst.params)
         assert value <= potential_threshold(inst.params)
 
     def test_equal_regime_rejected(self):
@@ -230,6 +231,24 @@ def test_rho_graph_matches_oracle_on_seeded_larger_graphs():
         t = _fixed_toughness(params, g.n)[k % 3]
         value, argmin = rho_graph(g, params, t)
         assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t), (g, params, t)
+
+
+def test_min_cut_paths_do_not_recurse_per_level():
+    # a long path gives a deep level graph; the max-flow must not spend a
+    # Python frame per level, so it still answers with little stack to spare
+    n = 300
+    g = Multigraph(n, [(v, v + 1) for v in range(n - 1)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        value, _ = rho_graph(g, DefectParams(1, 2), max_vertices=n)
+        bad = violating_subset(g, DefectParams(0, 1), max_vertices=n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == 7 and bad is None
 
 
 @given(multigraphs(max_n=6, max_edges=6), st.data())

@@ -33,7 +33,6 @@ from dpcolor import (
     partition_witness,
     solver,
 )
-from dpcolor.cover import DEFAULT_MAX_COVERS
 
 E, O = Parity.EVEN, Parity.ODD
 TRIPLE = Multigraph(2, [(0, 1)] * 3)
@@ -206,7 +205,7 @@ KERNEL_SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.fun
 @given(multigraphs(max_n=7, max_edges=12), defect_params(), st.data())
 def test_bad_covers_match_oracle(kernel, g, params, data):
     t = data.draw(toughness_for(g.n, params))
-    bad = solver._bad_covers(g, params, t, DEFAULT_MAX_COVERS)
+    bad = solver._kernel(g, solver._caps(params, t))[0]
     expect = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
     assert [list(bits) for bits in bad] == expect
 

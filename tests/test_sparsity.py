@@ -60,11 +60,11 @@ class TestGuarantee:
             sparsity_guarantee(Multigraph(1, ()), DefectParams(0, 0))
 
     def test_size_limit(self):
-        message = "^graph has 25 vertices, limit is 24$"
+        message = "^graph has 193 vertices, limit is 192$"
         with pytest.raises(BudgetError, match=message):
-            sparsity_guarantee(Multigraph(25, ()), P01)
+            sparsity_guarantee(Multigraph(193, ()), P01)
         with pytest.raises(BudgetError, match=message):
-            violating_subset(Multigraph(25, ()), DefectParams(1, 2))
+            violating_subset(Multigraph(193, ()), DefectParams(1, 2))
 
 
 class TestGuaranteeImpliesColorable:
