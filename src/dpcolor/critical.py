@@ -19,7 +19,7 @@ from .potential import (
     regime,
     rho_graph,
 )
-from .solver import _fold, _kernel, _scan_checked
+from .solver import _degree_first, _fold, _kernel, _scan_checked
 from .solver import is_colorable  # noqa: F401  (bench/tracer.py wraps critical.is_colorable)
 
 DEFAULT_MAX_SEARCH_VERTICES = 5
@@ -74,7 +74,10 @@ def is_critical(
     restriction of a cover of H, and deleting an edge only removes
     conflicts, so the restriction of a colorable cover stays colorable;
     raising caps keeps a colorable cover colorable too. So only H's
-    uncolorable covers need the deletion and relaxation checks. Up to
+    uncolorable covers need the deletion and relaxation checks. The answer
+    depends on no edge order, so H's edges are scanned in degree-first order
+    (solver._degree_first), not G's: the edges among H's busiest vertices
+    come first, where the tree prunes the most. Up to
     solver._TREE_MAX_VERTICES vertices the scan is the bit-parallel cover
     tree, and each uncolorable cover's checks are read off its leaf masks;
     above it, each cover is one branch-and-bound, and so is each check of an
@@ -88,7 +91,8 @@ def is_critical(
         deg[v] == 1 and t.poor[v] <= params.i and t.rich[v] <= params.j for v in range(g.n)
     ):
         return False
-    bad_covers, deletions_colorable = _kernel(*_fold(g, params, t))
+    h, caps, bases = _fold(g, params, t)
+    bad_covers, deletions_colorable = _kernel(_degree_first(h)[0], caps, bases)
     uncolorable = False
     for bits in bad_covers:
         uncolorable = True
@@ -156,9 +160,12 @@ def fdp_search(
     of each multiset come first: one with an isolated vertex is skipped, as
     is_critical rejects it before any check; one with a degree-1 vertex is
     skipped after the budget check is_critical would make, since under zero
-    toughness its degree-1 rule always applies. Any other multiset runs
-    is_critical only if its canonical key (_canonical_key) is new; a class
-    seen before was not critical, or the search would have stopped there.
+    toughness its degree-1 rule always applies. That check depends on the
+    edge count alone, so it is made once per level, at the first multiset
+    with no isolated vertex, where is_critical would first make it. Any
+    other multiset runs is_critical only if its canonical key
+    (_canonical_key) is new; a class seen before was not critical, or the
+    search would have stopped there.
     is_critical ignores vertex labels and edge order under zero toughness, so
     every multiset still gets its own verdict in enumeration order: the
     witness is the first critical multiset, and a BudgetError is raised
@@ -173,6 +180,7 @@ def fdp_search(
     t = Toughness.zero(n)
     not_critical: set[tuple[tuple[int, int], ...]] = set()
     for e in range(floor, max_edges + 1):
+        budget_checked = False
         for combo in combinations_with_replacement(pairs, e):
             deg = [0] * n
             for u, v in combo:
@@ -180,7 +188,9 @@ def fdp_search(
                 deg[v] += 1
             if 0 in deg:
                 continue
-            _parity_vectors(e, max_covers)  # is_critical's budget check, same message
+            if not budget_checked:
+                _parity_vectors(e, max_covers)  # is_critical's budget check, same message
+                budget_checked = True
             if 1 in deg:
                 continue
             key = _canonical_key(combo, deg)

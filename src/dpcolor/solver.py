@@ -105,6 +105,17 @@ def _caps(params: DefectParams, t: Toughness) -> list[tuple[int, int]]:
     return [(params.j - tr, params.i - tp) for tp, tr in zip(t.poor, t.rich)]
 
 
+def _flags(g: Multigraph, caps: Caps) -> dict[int, int]:
+    """Each flag of g that folds (see _fold), mapped to its base."""
+    flags: dict[int, int] = {}
+    for x, inc in enumerate(g.incidence()):
+        if len(inc) != 2 or inc[0][0] != inc[1][0] or inc[0][0] in flags:
+            continue
+        if min(caps[x]) >= 0 and max(caps[x]) >= 1:
+            flags[x] = inc[0][0]
+    return flags
+
+
 def _fold(
     g: Multigraph, params: DefectParams, t: Toughness
 ) -> tuple[Multigraph, list[tuple[int, int]], list[int]]:
@@ -123,18 +134,36 @@ def _fold(
     vertices with a flag folded, in ascending order.
     """
     caps = _caps(params, t)
-    incident = g.incidence()
     folded = [0] * g.n  # flags folded at each base
-    flags = set()
-    for x, inc in enumerate(incident):
-        if len(inc) != 2 or inc[0][0] != inc[1][0] or inc[0][0] in flags:
-            continue
-        if min(caps[x]) >= 0 and max(caps[x]) >= 1:
-            flags.add(x)
-            folded[inc[0][0]] += 1
+    flags = _flags(g, caps)
+    for v in flags.values():
+        folded[v] += 1
     h, keep = g.induced_subgraph(v for v in range(g.n) if v not in flags)
     h_caps = [(caps[v][0] - folded[v], caps[v][1] - folded[v]) for v in keep]
     return h, h_caps, [k for k, v in enumerate(keep) if folded[v]]
+
+
+def _degree_first(g: Multigraph) -> tuple[Multigraph, list[int]]:
+    """g with its edges in verdict-scan order, and the new id of each edge of g.
+
+    Vertices are ranked as _Search assigns them, by descending degree with
+    ties by id, and an edge is keyed by the rank of its later endpoint, then
+    of its earlier one; parallel edges keep their order. So the edges among
+    the busiest vertices are decided first, where the cover tree's caps and
+    slack prune cut the most. Relabeling edges changes no verdict, only the
+    order in which the bad covers come.
+    """
+    deg = [len(inc) for inc in g.incidence()]
+    rank = [0] * g.n
+    for r, v in enumerate(sorted(range(g.n), key=lambda v: (-deg[v], v))):
+        rank[v] = r
+    order = sorted(
+        range(len(g.edges)), key=lambda e: sorted(map(rank.__getitem__, g.edges[e]), reverse=True)
+    )
+    position = [0] * len(order)
+    for k, e in enumerate(order):
+        position[e] = k
+    return Multigraph(g.n, tuple(g.edges[e] for e in order)), position
 
 
 def exhaustive_color(
@@ -207,30 +236,88 @@ def is_colorable(
     """Whether every cover admits a coloring.
 
     Returns (True, None), or (False, w) where w is the lexicographically
-    first cover with no coloring: covers are scanned in lex order (edge 0
-    most significant, E < O) and the scan stops at the first failure.
-    max_covers bounds G's raw 2^|E|. The verdict comes from the scan of g
-    without its flags (_fold); only an uncolorable g is scanned itself, for
-    the witness.
+    first cover with no coloring: edge 0 most significant, E < O.
+    max_covers bounds G's raw 2^|E|. The verdict comes from one scan of g
+    without its flags (_fold), with its edges in degree-first order
+    (_degree_first); only an uncolorable g is scanned again, for the
+    witness (_first_bad_cover).
     """
     t = _scan_checked(g, params, t, max_covers)
-    if next(_kernel(*_fold(g, params, t))[0], None) is None:
+    h, caps, _ = _fold(g, params, t)
+    if next(_kernel(_degree_first(h)[0], caps)[0], None) is None:
         return True, None
-    return False, Cover(next(_kernel(g, _caps(params, t))[0]))
+    return False, Cover(_first_bad_cover(g, _caps(params, t)))
+
+
+def _first_bad_cover(g: Multigraph, caps: Caps) -> tuple[int, ...]:
+    """The lex-first bad cover of g, which must have one.
+
+    With no flag folded, it is the first cover of one lex scan of g.
+    Otherwise g's edges are fixed one at a time in g's order, E kept while g
+    still has a bad cover under the prefix, and each question is a verdict
+    scan of the core H. By _fold's argument, g is uncolorable under a cover
+    exactly when H is under its restriction, with each base's caps lowered
+    by one per flag whose two parities differ. Lower caps never help, so a
+    flag with an undecided edge counts one, as the cover can still make it
+    mixed; a flag with both edges decided counts one if they differ and
+    none if they agree. So a flag's first edge changes nothing and takes E
+    without a scan: at most |E| scans of H, each in degree-first order.
+    """
+    flags = _flags(g, caps)
+    if not flags:
+        return next(_kernel(g, caps)[0])
+    h, keep = g.induced_subgraph(v for v in range(g.n) if v not in flags)
+    scan_h, position = _degree_first(h)
+    fixed: list[int | None] = [None] * len(position)
+    lowered = [0] * g.n  # per base, the flags that still count one
+    for v in flags.values():
+        lowered[v] += 1
+
+    def bad_cover_left() -> bool:
+        scan_caps = [(caps[v][0] - lowered[v], caps[v][1] - lowered[v]) for v in keep]
+        return next(_kernel(scan_h, scan_caps, fixed=fixed)[0], None) is not None
+
+    bits: list[int] = []
+    slots = iter(position)  # H keeps g's edge order, so its edges come in turn
+    half_decided: set[int] = set()
+    for u, w in g.edges:
+        x = u if u in flags else w if w in flags else None
+        if x is None:
+            k = next(slots)
+            fixed[k] = 0
+            bit = 0 if bad_cover_left() else 1
+            fixed[k] = bit
+        elif x not in half_decided:
+            half_decided.add(x)
+            bit = 0
+        else:
+            # E after E: the flag agrees and stops counting at its base
+            lowered[flags[x]] -= 1
+            bit = 0 if bad_cover_left() else 1
+            lowered[flags[x]] += bit
+        bits.append(bit)
+    return tuple(bits)
 
 
 def _kernel(
-    g: Multigraph, caps: Caps, bases: Sequence[int] = ()
+    g: Multigraph, caps: Caps, bases: Sequence[int] = (), *, fixed: Sequence[int | None] = ()
 ) -> tuple[Iterator[tuple[int, ...]], Callable[[tuple[int, ...]], bool]]:
     """The bad covers of g under caps, and whether the one last yielded colors
     each g - e and g with the caps of each base in bases raised by one.
 
+    Edge e takes only the parity fixed[e] where that is 0 or 1; an edge past
+    the end of fixed, or fixed at None, takes both, so a prefix for fixed
+    keeps the covers that start with it.
+
     Up to _TREE_MAX_VERTICES vertices both come from one _CoverTree, above from
     one _Search per cover and per check, with the same answers in the same order.
     """
+    choices = [
+        (0, 1) if e >= len(fixed) or fixed[e] is None else (fixed[e],) for e in range(len(g.edges))
+    ]
     if g.n <= _TREE_MAX_VERTICES:
         tree = _CoverTree()
-        return tree.bad_covers(g, caps, bases), tree.deletions_colorable
+        return tree.bad_covers(g, caps, bases, choices), tree.deletions_colorable
     search = _Search(g, caps)
     checks: list[tuple[_Search, int | None]] = []
 
@@ -246,8 +333,7 @@ def _kernel(
             s.run(bits if e is None else bits[:e] + bits[e + 1 :]) is not None for s, e in checks
         )
 
-    parities = product((0, 1), repeat=len(g.edges))
-    return (bits for bits in parities if search.run(bits) is None), deletions_colorable
+    return (bits for bits in product(*choices) if search.run(bits) is None), deletions_colorable
 
 
 # Up to this many vertices the masks of _CoverTree (2^n bits) beat one _Search
@@ -259,18 +345,19 @@ class _CoverTree:
     """Every side map of g at once, over a depth-first tree of parity vectors.
 
     Map x puts vertex v on its poor side when bit v of x is set; a set of maps
-    is one 2^n-bit int. Depth k decides edge k, E before O, so leaves come in
-    lex order. T[v][c] holds the maps with at least c conflicts at v over the
-    decided edges, up to c = max cap + 2. Edge uw conflicts exactly on the
-    maps where s_u XOR s_w equals its parity, so a node costs a few big-int
-    operations per endpoint. While bad_covers is paused at a bad cover,
-    deletions_colorable reads that leaf's masks.
+    is one 2^n-bit int. Depth k decides edge k, E before O unless its parity
+    is fixed, so leaves come in lex order. T[v][c] holds the maps with at
+    least c conflicts at v over the decided edges, up to c = max cap + 2.
+    Edge uw conflicts exactly on the maps where s_u XOR s_w equals its
+    parity, so a node costs a few big-int operations per endpoint. While
+    bad_covers is paused at a bad cover, deletions_colorable reads that
+    leaf's masks.
     """
 
     def bad_covers(
-        self, g: Multigraph, caps: Caps, bases: Sequence[int]
+        self, g: Multigraph, caps: Caps, bases: Sequence[int], choices: Sequence[Sequence[int]]
     ) -> Iterator[tuple[int, ...]]:
-        n, self.edges = g.n, g.edges
+        n, self.edges, self.choices = g.n, g.edges, choices
         self.full = full = (1 << (1 << n)) - 1
         poor = []
         for v in range(n):
@@ -329,7 +416,9 @@ class _CoverTree:
         u, w = self.edges[k]
         (pu, ru, au, bu), (pw, rw, aw, bw) = self.sides[u], self.sides[w]
         tu, tw = T[u], T[w]
-        for bit, c in enumerate((self.full ^ self.diff[k], self.diff[k])):
+        masks = (self.full ^ self.diff[k], self.diff[k])
+        for bit in self.choices[k]:
+            c = masks[bit]
             T[u] = nu = [tu[0]] + [x | y & c for x, y in zip(tu[1:], tu)]
             T[w] = nw = [tw[0]] + [x | y & c for x, y in zip(tw[1:], tw)]
             self.bits[k] = bit

@@ -127,6 +127,15 @@ class TestDecisionCommands:
         code, out, _ = run(capsys, "critical", "--graph", path, "--i", "1", "--j", "2")
         assert code == 0 and out.strip() == "CRITICAL"
 
+    def test_colorable_finds_the_witness_through_the_fold(self, capsys, tmp_path):
+        # the lex-first bad cover of all 24 edges, from at most 24 scans of the
+        # 9-vertex, 8-edge core instead of one scan of the graph as given
+        path = str(tmp_path / "g")
+        run(capsys, "gen", "--family", "iplusone", "--i", "1", "--m", "1", "--graph", path)
+        code, out, _ = run(capsys, "colorable", "--graph", path, "--i", "1", "--j", "2")
+        assert code == 0
+        assert out.splitlines() == ["NOT COLORABLE", "witness OEEEEOEOEEEOEOEEEOEOEOEO"]
+
     def test_potential(self, capsys, zeroj_file):
         code, out, _ = run(capsys, "potential", "--graph", zeroj_file, "--i", "0", "--j", "1")
         assert code == 0

@@ -9,7 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import defect_params, every_small_multigraph, multigraphs, toughness_for
+from conftest import (
+    defect_params,
+    every_small_multigraph,
+    flagged_multigraphs,
+    multigraphs,
+    toughness_for,
+)
 from dpcolor import (
     BudgetError,
     DefectParams,
@@ -22,6 +28,7 @@ from dpcolor import (
     check_bounds,
     edge_bound,
     fdp_search,
+    is_colorable,
     is_critical,
 )
 from dpcolor.cli import main
@@ -105,6 +112,18 @@ def test_is_critical_matches_oracle(kernel, g, params, data):
     t = data.draw(toughness_for(g.n, params))
     expected = oracles.critical(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
     assert is_critical(g, params, t) == expected
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(multigraphs(max_n=8, max_edges=11), flagged_multigraphs()), defect_params(), st.data()
+)
+def test_verdicts_ignore_the_edge_order(kernel, g, params, data):
+    # the verdict scans sort each core's edges by degree, whatever the order given
+    t = data.draw(toughness_for(g.n, params))
+    shuffled = Multigraph(g.n, data.draw(st.permutations(g.edges)))
+    assert is_critical(shuffled, params, t) == is_critical(g, params, t)
+    assert is_colorable(shuffled, params, t)[0] == is_colorable(g, params, t)[0]
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,17 @@ def test_bad_covers_match_oracle(kernel, g, params, data):
 
 
 @KERNEL_SETTINGS
+@given(multigraphs(max_n=7, max_edges=10), defect_params(), st.data())
+def test_fixed_parities_keep_the_bad_covers_they_allow(kernel, g, params, data):
+    t = data.draw(toughness_for(g.n, params))
+    fixed = data.draw(st.lists(st.sampled_from((None, 0, 1)), max_size=len(g.edges)))
+    bad = solver._kernel(g, solver._caps(params, t), fixed=fixed)[0]
+    every = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
+    expect = [bits for bits in every if all(f is None or f == b for f, b in zip(fixed, bits))]
+    assert [list(bits) for bits in bad] == expect
+
+
+@KERNEL_SETTINGS
 @given(multigraphs(max_n=6, max_edges=9), defect_params(), st.data())
 def test_deletion_check_matches_oracle(kernel, g, params, data):
     t = data.draw(toughness_for(g.n, params))
