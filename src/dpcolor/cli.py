@@ -9,6 +9,7 @@ accepted for compatibility with older scripts and changes nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -47,9 +48,6 @@ from .solver import (
 from .sparsity import violating_subset
 
 VERIFY_MAX_COVERS = 2**12
-# The bad-cover check is one branch-and-bound, which grinds on some large
-# family covers with 25 to 32 vertices, below exhaustive_color's own limit.
-VERIFY_MAX_VERTICES = 24
 
 
 def _add_flags(sp: argparse.ArgumentParser, *names: str, lists: bool = False) -> None:
@@ -85,7 +83,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="dpcolor",
         description="Defective DP-colorings of multigraphs at desk scale.",
@@ -289,7 +289,7 @@ def _cmd_verify(args) -> int:
     j_list = args.j if args.j is not None else [None]
     m_list = _require(args.m, "--m")
     max_covers = _max_covers(args, VERIFY_MAX_COVERS)
-    badcover_n = _max_n(args, VERIFY_MAX_VERTICES)
+    badcover_n = _max_n(args, SOLVER_MAX_VERTICES)
     potential_n = _max_n(args, POTENTIAL_MAX_VERTICES)
 
     failures = 0

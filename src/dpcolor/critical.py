@@ -19,7 +19,7 @@ from .potential import (
     regime,
     rho_graph,
 )
-from .solver import _degree_first, _fold, _kernel, _scan_checked
+from .solver import _degree_first, _fold, _fold_blocks, _scan_checked, _scan_critical
 from .solver import is_colorable  # noqa: F401  (bench/tracer.py wraps critical.is_colorable)
 
 DEFAULT_MAX_SEARCH_VERTICES = 5
@@ -68,7 +68,9 @@ def is_critical(
     vertex with both caps non-negative never conflicts (as above), so G - e
     is H with v's caps raised back by one: the base relaxation. G is
     critical exactly when H is uncolorable, every H - e is colorable, and H
-    is colorable after each base relaxation.
+    is colorable after each base relaxation. Then each pendant block of H
+    that folds becomes a one-edge gadget (solver._fold_blocks), and H is
+    critical exactly when the result is.
 
     One scan of H's covers decides all of these. Each cover of H - e is the
     restriction of a cover of H, and deleting an edge only removes
@@ -91,14 +93,8 @@ def is_critical(
         deg[v] == 1 and t.poor[v] <= params.i and t.rich[v] <= params.j for v in range(g.n)
     ):
         return False
-    h, caps, bases = _fold(g, params, t)
-    bad_covers, deletions_colorable = _kernel(_degree_first(h)[0], caps, bases)
-    uncolorable = False
-    for bits in bad_covers:
-        uncolorable = True
-        if not deletions_colorable(bits):
-            return False
-    return uncolorable
+    h, caps, bases = _fold_blocks(*_fold(g, params, t))
+    return _scan_critical(_degree_first(h)[0], caps, bases)
 
 
 @dataclass(frozen=True)

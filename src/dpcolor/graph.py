@@ -47,8 +47,10 @@ class Toughness:
     is_refined: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "poor", tuple(int(x) for x in self.poor))
-        object.__setattr__(self, "rich", tuple(int(x) for x in self.rich))
+        # tuple() of a list allocates the final size at once; of a generator it
+        # resizes, and the freed tuples pile up in CPython's per-size free lists
+        object.__setattr__(self, "poor", tuple([int(x) for x in self.poor]))
+        object.__setattr__(self, "rich", tuple([int(x) for x in self.rich]))
         if len(self.poor) != len(self.rich):
             raise ValueError("poor and rich vectors must have equal length")
         if any(x < 0 for x in self.poor + self.rich):
@@ -99,7 +101,8 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        # from a list, as for Toughness
+        object.__setattr__(self, "edges", tuple([(int(u), int(v)) for u, v in self.edges]))
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         for e, (u, v) in enumerate(self.edges):

@@ -6,13 +6,10 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, Side, _check_cover, _parity_vectors
+from .covertree import Caps, _CoverTree
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 
 DEFAULT_MAX_VERTICES = 32
-
-# caps[v][side]: the most conflicts v may take on a side, indexed by the Side
-# integer (RICH = 0, POOR = 1); a negative cap rules that side out
-Caps = Sequence[tuple[int, int]]
 
 
 class _Search:
@@ -31,8 +28,8 @@ class _Search:
         self.order = sorted((v for v in range(g.n) if deg[v]), key=lambda v: (-deg[v], v))
         self.cap = caps
         # An isolated vertex never conflicts, so it takes its first side with a
-        # non-negative cap, rich first, before the search: the recursion only
-        # goes as deep as the non-isolated vertices. With neither side, no map exists.
+        # non-negative cap, rich first, before the search, which walks only the
+        # non-isolated vertices. With neither side, no map exists.
         self.hopeless = any(not deg[v] and max(self.cap[v]) < 0 for v in range(g.n))
         self.start = [-1 if deg[v] else int(self.cap[v][0] < 0) for v in range(g.n)]
 
@@ -44,44 +41,48 @@ class _Search:
         incident = self.incident
         cap = self.cap
         order = self.order
-
-        def assign(pos: int) -> bool:
-            if pos == len(order):
-                return True
+        # trail[k]: the side order[k] took and the neighbours it bumped
+        trail: list[tuple[int, list[int]]] = []
+        pos, s = 0, 0  # s: the next side to try at order[pos]
+        while pos < len(order):
             v = order[pos]
-            for s in (0, 1):
+            while s < 2:
                 cap_v = cap[v][s]
-                if cap_v < 0:
-                    continue
-                mine = 0
-                bumped: list[int] = []
-                ok = True
-                for u, e in incident[v]:
-                    su = sides[u]
-                    if su < 0:
-                        continue
-                    if parity_bits[e] ^ s ^ su == 0:
-                        mine += 1
-                        if mine > cap_v:
-                            ok = False
-                            break
-                        conf[u] += 1
-                        bumped.append(u)
-                        if conf[u] > cap[u][su]:
-                            ok = False
-                            break
-                if ok:
-                    sides[v] = s
-                    conf[v] = mine
-                    if assign(pos + 1):
-                        return True
-                    sides[v] = -1
-                    conf[v] = 0
-                for u in bumped:
-                    conf[u] -= 1
-            return False
-
-        return sides if assign(0) else None
+                if cap_v >= 0:
+                    mine = 0
+                    bumped: list[int] = []
+                    for u, e in incident[v]:
+                        su = sides[u]
+                        if su >= 0 and parity_bits[e] ^ s ^ su == 0:
+                            mine += 1
+                            if mine > cap_v:
+                                break
+                            conf[u] += 1
+                            bumped.append(u)
+                            if conf[u] > cap[u][su]:
+                                break
+                    else:
+                        sides[v] = s
+                        conf[v] = mine
+                        trail.append((s, bumped))
+                        break
+                    for u in bumped:
+                        conf[u] -= 1
+                s += 1
+            if s < 2:
+                pos, s = pos + 1, 0
+                continue
+            if not trail:
+                return None
+            pos -= 1
+            v = order[pos]
+            s, bumped = trail.pop()
+            sides[v] = -1
+            conf[v] = 0
+            for u in bumped:
+                conf[u] -= 1
+            s += 1
+        return sides
 
 
 def _checked(g: Multigraph, params: DefectParams, t: Toughness | None) -> Toughness:
@@ -143,6 +144,112 @@ def _fold(
     return h, h_caps, [k for k, v in enumerate(keep) if folded[v]]
 
 
+# The most vertices a pendant block may have; its probes scan one more.
+_BLOCK_MAX_VERTICES = 4
+# Below this many edges the probes cost more than the scan they would shorten
+# (is_critical on the fdp --n 5 candidates and small zeroj instances).
+_BLOCK_MIN_EDGES = 9
+
+
+def _pendant_blocks(g: Multigraph) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """Each (size, B, u, v) with uv a bridge and B, the vertex set of u's side,
+    of 2 to _BLOCK_MAX_VERTICES vertices; from one lowpoint pass, in which a
+    parallel edge is a back edge, as the tree edge is skipped by its id."""
+    incident = g.incidence()
+    pre = [-1] * g.n
+    low = [0] * g.n
+    size = [1] * g.n
+    order: list[int] = []
+    blocks = []
+    for root in range(g.n):
+        if pre[root] >= 0:
+            continue
+        first = len(order)
+        bridges = []
+        pre[root] = low[root] = first
+        order.append(root)
+        stack = [(root, -1, iter(incident[root]))]
+        while stack:
+            v, via, it = stack[-1]
+            for u, e in it:
+                if pre[u] < 0:
+                    pre[u] = low[u] = len(order)
+                    order.append(u)
+                    stack.append((u, e, iter(incident[u])))
+                    break
+                if e != via:
+                    low[v] = min(low[v], pre[u])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[v])
+                    size[p] += size[v]
+                    if low[v] > pre[p]:
+                        bridges.append((p, v))
+        component = set(order[first:])
+        for p, c in bridges:
+            below = order[pre[c] : pre[c] + size[c]]
+            for u, v, side in ((c, p, below), (p, c, component.difference(below))):
+                if 2 <= len(side) <= _BLOCK_MAX_VERTICES:
+                    blocks.append((len(side), tuple(sorted(side)), u, v))
+    return blocks
+
+
+def _fold_blocks(
+    h: Multigraph, caps: Caps, bases: Sequence[int]
+) -> tuple[Multigraph, list[tuple[int, int]], list[int]]:
+    """h with each pendant block B that folds replaced by a gadget edge.
+
+    B hangs off v by the bridge uv. The conflicts B can put on v, per side
+    of v, come in swapped pairs, since flipping uv's parity swaps v's sides
+    as B sees them. Let P(a, b) be B + uv + v with v's caps (rich a, poor b).
+    B folds when no cover charges v on both sides (P(0, 0) is colorable),
+    some cover charges one side (P(0, -1) is not), and every deletion and
+    base relaxation inside P(0, -1) takes the charge away (_scan_critical).
+    Then u keeps only uv, with caps (1, -1) if P(1, -1) is colorable (the
+    cover charges a side of v one conflict) and (0, -1) if not (it forbids
+    a side), so h is colorable, and critical, exactly when the result is.
+    Smallest blocks fold first, while h has _BLOCK_MIN_EDGES edges and some
+    block folds; probes are memoized.
+    """
+    caps, bases = list(caps), list(bases)
+    probed: dict[tuple, tuple[int, int] | None] = {}
+    while len(h.edges) >= _BLOCK_MIN_EDGES:
+        for _, block, u, v in sorted(_pendant_blocks(h)):
+            label = {v: 0, u: 1}
+            for w in block:
+                label.setdefault(w, len(label))
+            edges = tuple((label[a], label[b]) for a, b in h.edges if a in label and b in label)
+            p_caps = [caps[w] for w in list(label)[1:]]
+            p_bases = tuple(label[b] for b in bases if b in block)
+            key = (edges, tuple(p_caps), p_bases)
+            if key not in probed:
+                probed[key] = _gadget(Multigraph(len(label), edges), p_caps, p_bases)
+            if probed[key] is not None:
+                break
+        else:
+            break
+        caps[u] = probed[key]
+        h, keep = h.induced_subgraph(w for w in range(h.n) if w == u or w not in block)
+        index = {w: k for k, w in enumerate(keep)}
+        caps = [caps[w] for w in keep]
+        bases = [index[b] for b in bases if b not in block]
+    return h, caps, bases
+
+
+def _gadget(p: Multigraph, block_caps: Caps, bases: Sequence[int]) -> tuple[int, int] | None:
+    """The gadget's caps for the probe p (v = 0, then B with block_caps), or
+    None when B does not fold (_fold_blocks)."""
+
+    def colorable(rich: int, poor: int) -> bool:
+        return next(_kernel(p, [(rich, poor), *block_caps])[0], None) is None
+
+    if not colorable(0, 0) or not _scan_critical(p, [(0, -1), *block_caps], bases):
+        return None
+    return (1, -1) if colorable(1, -1) else (0, -1)
+
+
 def _degree_first(g: Multigraph) -> tuple[Multigraph, list[int]]:
     """g with its edges in verdict-scan order, and the new id of each edge of g.
 
@@ -178,11 +285,29 @@ def exhaustive_color(
 
     Existence agrees with brute force over all 2^n side vectors; the returned
     witness is the first one in the deterministic branch order.
+
+    Existence is decided first without the flags, by _fold's argument for
+    one cover: a flag with differing parities lowers its base's caps by one,
+    one with equal parities drops out. Only then is g searched, for the map.
     """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
     _check_cover(g, c)
-    sides = _Search(g, _caps(params, _checked(g, params, t))).run([int(p) for p in c.parities])
+    caps = _caps(params, _checked(g, params, t))
+    bits = [int(p) for p in c.parities]
+    flags = _flags(g, caps)
+    if flags:
+        incident = g.incidence()
+        mixed = [0] * g.n  # per base, its flags whose parities differ
+        for x, v in flags.items():
+            (_, e), (_, f) = incident[x]
+            mixed[v] += bits[e] != bits[f]
+        h, keep = g.induced_subgraph(v for v in range(g.n) if v not in flags)
+        h_caps = [(caps[v][0] - mixed[v], caps[v][1] - mixed[v]) for v in keep]
+        h_bits = [b for b, (u, w) in zip(bits, g.edges) if u not in flags and w not in flags]
+        if _Search(h, h_caps).run(h_bits) is None:
+            return None
+    sides = _Search(g, caps).run(bits)
     if sides is None:
         return None
     return PhiMap(tuple(Side(s) for s in sides))
@@ -238,12 +363,12 @@ def is_colorable(
     Returns (True, None), or (False, w) where w is the lexicographically
     first cover with no coloring: edge 0 most significant, E < O.
     max_covers bounds G's raw 2^|E|. The verdict comes from one scan of g
-    without its flags (_fold), with its edges in degree-first order
-    (_degree_first); only an uncolorable g is scanned again, for the
-    witness (_first_bad_cover).
+    without its flags (_fold) and its pendant blocks (_fold_blocks), with
+    its edges in degree-first order (_degree_first); only an uncolorable g
+    is scanned again, for the witness (_first_bad_cover).
     """
     t = _scan_checked(g, params, t, max_covers)
-    h, caps, _ = _fold(g, params, t)
+    h, caps, _ = _fold_blocks(*_fold(g, params, t))
     if next(_kernel(_degree_first(h)[0], caps)[0], None) is None:
         return True, None
     return False, Cover(_first_bad_cover(g, _caps(params, t)))
@@ -336,125 +461,21 @@ def _kernel(
     return (bits for bits in product(*choices) if search.run(bits) is None), deletions_colorable
 
 
+def _scan_critical(g: Multigraph, caps: Caps, bases: Sequence[int] = ()) -> bool:
+    """Whether g is uncolorable but each g - e, and g with each base's caps
+    raised by one, is colorable, from one scan (see critical.is_critical)."""
+    bad_covers, deletions_colorable = _kernel(g, caps, bases)
+    uncolorable = False
+    for bits in bad_covers:
+        uncolorable = True
+        if not deletions_colorable(bits):
+            return False
+    return uncolorable
+
+
 # Up to this many vertices the masks of _CoverTree (2^n bits) beat one _Search
 # per cover; sparse graphs lose on the tree from n = 15 (sweep in CHANGES.md).
 _TREE_MAX_VERTICES = 14
-
-
-class _CoverTree:
-    """Every side map of g at once, over a depth-first tree of parity vectors.
-
-    Map x puts vertex v on its poor side when bit v of x is set; a set of maps
-    is one 2^n-bit int. Depth k decides edge k, E before O unless its parity
-    is fixed, so leaves come in lex order. T[v][c] holds the maps with at
-    least c conflicts at v over the decided edges, up to c = max cap + 2.
-    Edge uw conflicts exactly on the maps where s_u XOR s_w equals its
-    parity, so a node costs a few big-int operations per endpoint. While
-    bad_covers is paused at a bad cover, deletions_colorable reads that
-    leaf's masks.
-    """
-
-    def bad_covers(
-        self, g: Multigraph, caps: Caps, bases: Sequence[int], choices: Sequence[Sequence[int]]
-    ) -> Iterator[tuple[int, ...]]:
-        n, self.edges, self.choices = g.n, g.edges, choices
-        self.full = full = (1 << (1 << n)) - 1
-        poor = []
-        for v in range(n):
-            half = 1 << v  # bit v of a map index: 2^v zeros, then 2^v ones, repeated
-            poor.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
-        self.diff = [poor[u] ^ poor[w] for u, w in g.edges]
-        # per vertex: poor maps, rich maps and the conflict count that breaks
-        # each side's cap (0 for a side whose cap is negative)
-        self.sides = [
-            (p, full ^ p, max(cp + 1, 0), max(cr + 1, 0)) for p, (cr, cp) in zip(poor, caps)
-        ]
-        # per base, the counts that break its caps raised by one; a cap below
-        # -1 stays negative, so its count stays 0 and is not a + 1
-        self.raised = [(v, max(caps[v][1] + 2, 0), max(caps[v][0] + 2, 0)) for v in bases]
-        self.T = [[full] + [0] * (max(kp, kr) + 1) for _, _, kp, kr in self.sides]
-        self.start = full
-        for ok in self._allowed():
-            self.start &= ok
-        self.bits = [0] * len(g.edges)
-        # rest[k]: each vertex with d > 0 undecided edges at depth k, with its
-        # masks and the counts that break its caps once d more conflicts come
-        self.rest: list[list[tuple[int, int, int, int, int]]] = [[]]
-        deg = [0] * n
-        for u, w in reversed(g.edges):
-            deg[u] += 1
-            deg[w] += 1
-            sides = zip(range(n), deg, self.sides)
-            self.rest.insert(
-                0, [(p, r, v, max(a - d, 0), max(b - d, 0)) for v, d, (p, r, a, b) in sides if d]
-            )
-        yield from self.walk(0, self.start)
-
-    def _allowed(self) -> list[int]:
-        """Per vertex, the maps within its caps over the decided edges."""
-        T = self.T
-        return [
-            ~(p & T[v][a] | r & T[v][b]) & self.full for v, (p, r, a, b) in enumerate(self.sides)
-        ]
-
-    def walk(self, k: int, valid: int) -> Iterator[tuple[int, ...]]:
-        if k == len(self.bits):
-            if not valid:
-                yield tuple(self.bits)
-            return
-        T = self.T
-        if valid:
-            # slack prune: a map within every cap with all of the remaining
-            # edges counted as conflicts colors every cover of the subtree
-            fits = valid
-            for p, r, v, a, b in self.rest[k]:
-                fits &= ~(p & T[v][a] | r & T[v][b])
-                if not fits:
-                    break
-            else:
-                return
-        u, w = self.edges[k]
-        (pu, ru, au, bu), (pw, rw, aw, bw) = self.sides[u], self.sides[w]
-        tu, tw = T[u], T[w]
-        masks = (self.full ^ self.diff[k], self.diff[k])
-        for bit in self.choices[k]:
-            c = masks[bit]
-            T[u] = nu = [tu[0]] + [x | y & c for x, y in zip(tu[1:], tu)]
-            T[w] = nw = [tw[0]] + [x | y & c for x, y in zip(tw[1:], tw)]
-            self.bits[k] = bit
-            over = pu & nu[au] | ru & nu[bu] | pw & nw[aw] | rw & nw[bw]
-            yield from self.walk(k + 1, valid & ~over)
-        T[u], T[w] = tu, tw
-
-    def deletions_colorable(self, bits: tuple[int, ...]) -> bool:
-        """Whether each g - e, and g with each base's caps raised by one, is
-        colorable under the leaf's cover restricted to it.
-
-        Deleting e = uw lowers the counts at u and w by one on e's conflict
-        mask c; raising a base's caps reads its masks one count higher. Every
-        other vertex keeps the maps it allows at the leaf.
-        """
-        T, allowed = self.T, self._allowed()
-        for e, (u, w) in enumerate(self.edges):
-            c = self.diff[e] if bits[e] else self.full ^ self.diff[e]
-            maps = self.start
-            for v, ok in enumerate(allowed):
-                if v == u or v == w:
-                    p, r, a, b = self.sides[v]
-                    ok = ~(p & (T[v][a + 1] | T[v][a] & ~c) | r & (T[v][b + 1] | T[v][b] & ~c))
-                maps &= ok
-            if not maps:
-                return False
-        for base, a, b in self.raised:
-            # not self.start, which holds the base's caps before they are raised
-            p, r, _, _ = self.sides[base]
-            maps = ~(p & T[base][a] | r & T[base][b]) & self.full
-            for v, ok in enumerate(allowed):
-                if v != base:
-                    maps &= ok
-            if not maps:
-                return False
-        return True
 
 
 def partition_witness(g: Multigraph, i: int, a_set: Iterable[int]) -> int | None:

@@ -83,6 +83,40 @@ def flagged_multigraphs(draw, max_core_n: int = 4, max_core_edges: int = 4):
     return Multigraph(n, tuple(draw(st.permutations(edges))))
 
 
+# Pendant blocks, each hung by a bridge from its vertex 0: a triangle, a
+# path, an edge, a digon, a weak flag of weight 1, and a triangle with a tail.
+PENDANT_BLOCKS = {
+    "triangle": [(0, 1), (0, 2), (1, 2)],
+    "path": [(0, 1), (1, 2)],
+    "edge": [(0, 1)],
+    "digon": [(0, 1), (0, 1)],
+    "weak flag": [(0, 1), (1, 2), (1, 2)],
+    "triangle and tail": [(1, 2), (2, 3), (3, 1), (0, 1)],
+}
+
+
+def hang(g: Multigraph, base: int, block: list[tuple[int, int]]) -> Multigraph:
+    """g with block added on new vertices, its vertex 0 joined to base by a bridge."""
+    n = g.n
+    size = 1 + max(max(edge) for edge in block)
+    return Multigraph(n + size, g.edges + ((base, n),) + tuple((n + a, n + b) for a, b in block))
+
+
+@st.composite
+def pendant_block_graphs(draw, max_core_n: int = 3, max_core_edges: int = 2, max_edges: int = 9):
+    """A random core plus one or two pendant blocks, each hung from any earlier
+    vertex, so a block may hang from another; every edge list is shuffled."""
+    n = draw(st.integers(1, max_core_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=max_core_edges)) if pairs else []
+    g = Multigraph(n, tuple(edges))
+    for _ in range(draw(st.integers(1, 2))):
+        block = draw(st.sampled_from(sorted(PENDANT_BLOCKS.values())))
+        if len(g.edges) + len(block) + 1 <= max_edges:
+            g = hang(g, draw(st.integers(0, g.n - 1)), block)
+    return Multigraph(g.n, tuple(draw(st.permutations(g.edges))))
+
+
 def every_small_multigraph(max_n: int = 4, max_edges: int = 5):
     """Every edge multiset on 1..max_n vertices with at most max_edges edges, once each."""
     for n in range(1, max_n + 1):

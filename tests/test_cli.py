@@ -18,7 +18,7 @@ from dpcolor import (
     save_cover,
     save_graph,
 )
-from dpcolor.cli import main
+from dpcolor.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -136,6 +136,14 @@ class TestDecisionCommands:
         assert code == 0
         assert out.splitlines() == ["NOT COLORABLE", "witness OEEEEOEOEEEOEOEEEOEOEOEO"]
 
+    def test_critical_folds_pendant_blocks_under_the_default_budget(self, capsys, tmp_path):
+        # n = 17, above the cover tree's 14 vertices; its four triangles fold
+        # to one-edge gadgets, so the scan walks a core of 9 vertices
+        path = str(tmp_path / "g")
+        run(capsys, "gen", "--family", "zeroj", "--j", "4", "--m", "4", "--graph", path)
+        code, out, _ = run(capsys, "critical", "--graph", path, "--i", "0", "--j", "4")
+        assert code == 0 and out.strip() == "CRITICAL"
+
     def test_potential(self, capsys, zeroj_file):
         code, out, _ = run(capsys, "potential", "--graph", zeroj_file, "--i", "0", "--j", "1")
         assert code == 0
@@ -192,6 +200,12 @@ class TestVerify:
         assert code == 0
         assert "n=42" in out and "badcover=SKIP" in out and "potential=PASS" in out
 
+    def test_badcover_uses_the_solver_vertex_limit(self, capsys):
+        # n = 27: between the old 24-vertex verify limit and the solver's 32
+        code, out, _ = run(capsys, "verify", "--family", "iplusone", "--i", "1", "--m", "3")
+        assert code == 0
+        assert "n=27" in out and "badcover=PASS" in out
+
     def test_critical_ignores_the_vertex_limit(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--family", "iplusone", "--i", "2", "--m", "0",
@@ -203,6 +217,23 @@ class TestVerify:
     def test_missing_grid_flag(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "zeroj", "--j", "1")
         assert code == 2 and "--m" in err
+
+
+def test_successive_calls_share_no_state(capsys, tmp_path):
+    # the parser is built once per process, so every call after the first
+    # parses with the same object; nothing one call sets may reach the next
+    path = str(tmp_path / "g")
+    assert _build_parser() is _build_parser()
+    code, out, _ = run(capsys, "gen", "--family", "zeroj", "--j", "1", "--m", "2", "--graph", path)
+    assert code == 0 and f"wrote graph {path}" in out
+    code, _, err = run(capsys, "critical", "--graph", path, "--i", "0", "--j", "1", "--max-covers", "2")
+    assert code == 2 and "exceed the limit of 2" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["colorable", "--graph", path, "--i", "zero", "--j", "1"])
+    assert exc.value.code == 2 and "invalid int value: 'zero'" in capsys.readouterr().err
+    assert run(capsys, "critical", "--graph", path, "--i", "0", "--j", "1") == (0, "CRITICAL\n", "")
+    code, out, _ = run(capsys, "gen", "--family", "zeroj", "--j", "1", "--m", "2")
+    assert code == 0 and "wrote" not in out
 
 
 # per command, one flag that its handler does not read

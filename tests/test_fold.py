@@ -1,8 +1,10 @@
-"""Folding flags into caps: solver._fold and the verdicts that go through it.
+"""Folding flags into caps and pendant blocks into gadgets: solver._fold,
+solver._fold_blocks and the verdicts that go through them.
 
-is_colorable and is_critical decide G from its core H, G without its flags,
-so each is checked against the oracles on graphs that carry flags, with
-toughness on the flags and their bases, on both scan kernels.
+is_colorable and is_critical decide G from its core H, G without its flags
+and with each pendant block that folds replaced by one gadget edge, so each
+is checked against the oracles on graphs that carry flags or pendant
+blocks, with toughness, on both scan kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import defect_params, every_small_multigraph, flagged_multigraphs, toughness_for
+from conftest import (
+    PENDANT_BLOCKS,
+    defect_params,
+    every_small_multigraph,
+    flagged_multigraphs,
+    hang,
+    pendant_block_graphs,
+    toughness_for,
+)
 from dpcolor import (
     DefectParams,
     Multigraph,
@@ -122,3 +132,87 @@ def test_small_cores_with_a_flag_match_oracles(kernel):
         g = Multigraph(core.n + 1, core.edges + ((0, core.n), (core.n, 0)))
         for i, j in CELLS:
             assert_matches_oracles(g, DefectParams(i, j), Toughness.zero(g.n))
+
+
+@pytest.fixture()
+def fold_small(monkeypatch):
+    """Fold pendant blocks in graphs of any size, so small ones reach the probes."""
+    monkeypatch.setattr(solver, "_BLOCK_MIN_EDGES", 0)
+
+
+@pytest.mark.usefixtures("fold_small")
+class TestFoldBlocks:
+    def test_bridges_come_from_one_lowpoint_pass(self):
+        # each bridge of a 4-vertex path gives a side of 2 or 3 vertices
+        blocks = solver._pendant_blocks(Multigraph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert sorted(blocks) == [
+            (2, (0, 1), 1, 2),
+            (2, (2, 3), 2, 1),
+            (3, (0, 1, 2), 2, 3),
+            (3, (1, 2, 3), 1, 0),
+        ]
+
+    def test_parallel_edges_are_never_bridges(self):
+        g = Multigraph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3)])
+        assert solver._pendant_blocks(g) == []
+
+    @pytest.mark.parametrize("j, gadget", [(1, (0, -1)), (2, (1, -1)), (3, (1, -1)), (4, (1, -1))])
+    def test_the_zeroj_triangle_probes(self, j, gadget):
+        # v = 0, the bridge end u = 1, the triangle's other two vertices 2 and
+        # 3, each with caps (j, 0); at j = 1 the cover can forbid one side of v,
+        # from j = 2 it can only charge it one conflict
+        p = Multigraph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+        assert solver._gadget(p, [(j, 0)] * 3, ()) == gadget
+
+    def test_a_block_with_a_redundant_edge_does_not_fold(self):
+        # the triangle's far edge doubled: deleting one copy keeps v charged
+        p = Multigraph(4, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
+        assert [solver._gadget(p, [(j, 0)] * 3, ()) for j in (1, 2, 3)] == [None] * 3
+
+    @pytest.mark.parametrize("j, m", [(2, 2), (3, 2), (2, 4), (3, 5), (4, 4), (2, 8)])
+    def test_zeroj_folds_to_its_cycle_and_one_gadget_per_triangle(self, j, m):
+        inst = build_family("zeroj", None, j, m)
+        h, caps, bases = solver._fold_blocks(
+            *solver._fold(inst.graph, inst.params, Toughness.zero(inst.graph.n))
+        )
+        cycle = [(v, v + 1) for v in range(m)] + [(m, 0)]
+        assert h == Multigraph(m + 1 + j, cycle + [(m + 1 + k, 0) for k in range(j)])
+        assert caps == [(j, 0)] * (m + 1) + [(1, -1)] * j and bases == []
+
+    def test_blocks_cascade(self):
+        # zeroj j = 1: the triangle forbids one side of v0, and then the
+        # 4-cycle itself hangs from that gadget and folds in turn
+        inst = build_family("zeroj", None, 1, 3)
+        h, caps, _ = solver._fold_blocks(
+            *solver._fold(inst.graph, inst.params, Toughness.zero(inst.graph.n))
+        )
+        assert (h, caps) == (Multigraph(2, [(1, 0)]), [(0, -1), (0, -1)])
+
+
+def test_small_graphs_skip_the_probes():
+    # zeroj j = 1, m = 2 has 7 edges, below _BLOCK_MIN_EDGES: nothing folds
+    inst = build_family("zeroj", None, 1, 2)
+    folded = solver._fold(inst.graph, inst.params, Toughness.zero(inst.graph.n))
+    assert solver._fold_blocks(*folded) == folded
+
+
+BLOCK_CELLS = [(0, 1), (0, 2), (1, 2), (1, 3)]
+
+
+@pytest.mark.usefixtures("fold_small")
+def test_small_cores_with_a_pendant_block_match_oracles(kernel):
+    # every core up to 3 vertices and 3 edges with each block hung at vertex
+    # 0: 190 of the 600 graphs fold a block and 20 are critical
+    for core in every_small_multigraph(max_n=3, max_edges=3):
+        for block in PENDANT_BLOCKS.values():
+            g = hang(core, 0, block)
+            for i, j in BLOCK_CELLS:
+                assert_matches_oracles(g, DefectParams(i, j), Toughness.zero(g.n))
+
+
+@pytest.mark.usefixtures("fold_small")
+@settings(KERNEL_SETTINGS, max_examples=150)
+@given(pendant_block_graphs(), defect_params(include_zero_zero=False), st.data())
+def test_pendant_block_graphs_match_oracles(kernel, g, params, data):
+    t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
+    assert_matches_oracles(g, params, t)

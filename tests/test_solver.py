@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from conftest import (
     bounded_degree_graphs,
     defect_params,
+    flagged_multigraphs,
     graph_cover_pairs,
     multigraphs,
     toughness_for,
@@ -99,6 +101,39 @@ def test_exhaustive_respects_toughness(pair, ij, data):
     assert (fast is not None) == slow
     if fast is not None:
         assert is_valid_coloring(g, c, fast, params, t)
+
+
+@given(flagged_multigraphs(), defect_params(), st.data())
+def test_exhaustive_folds_flags_and_keeps_the_witness(g, params, data):
+    # existence is decided on the core without its flags; the witness is
+    # still the first map of the branch-and-bound on g itself
+    parities = data.draw(st.lists(st.sampled_from((E, O)), min_size=len(g.edges), max_size=len(g.edges)))
+    t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
+    c = Cover(tuple(parities))
+    fast = exhaustive_color(g, c, params, t)
+    bits = [int(p) for p in parities]
+    assert (fast is not None) == oracles.cover_colorable(
+        g.n, list(g.edges), bits, params.i, params.j, t.poor, t.rich
+    )
+    sides = solver._Search(g, solver._caps(params, t)).run(bits)
+    assert (fast and [int(s) for s in fast.sides]) == sides
+
+
+def test_search_does_not_recurse_per_vertex():
+    # a 1200-vertex path under the all-even cover: every vertex is one level
+    # of the branch-and-bound, far deeper than the stack left to it here
+    n = 1200
+    g = Multigraph(n, [(v, v + 1) for v in range(n - 1)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        phi = exhaustive_color(g, Cover((E,) * (n - 1)), DefectParams(0, 0), max_vertices=n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert phi is not None and is_valid_coloring(g, Cover((E,) * (n - 1)), phi, DefectParams(0, 0))
 
 
 class TestGreedy:
