@@ -123,7 +123,7 @@ def build_large(i: int, j: int, m: int) -> FamilyInstance:
         raise ValueError("large needs j >= 2i+1")
     if m < 0:
         raise ValueError("large needs m >= 0")
-    g = Multigraph(m + 2, tuple((v, v + 1) for v in range(m + 1)))
+    g = Multigraph(m + 2, tuple([(v, v + 1) for v in range(m + 1)]))
     parities = [_O] * m + [_E]
     for base, count in [(m + 1, j), (0, i + 1)] + [(h, i) for h in range(1, m + 1)]:
         for _ in range(count):
@@ -143,7 +143,7 @@ def build_mid(i: int, j: int, m: int) -> FamilyInstance:
         raise ValueError("mid needs i+2 <= j <= 2i (so i >= 2)")
     if m < 1:
         raise ValueError("mid needs m >= 1")
-    g = Multigraph(2 * m + 1, tuple((v, v + 1) for v in range(2 * m)))
+    g = Multigraph(2 * m + 1, tuple([(v, v + 1) for v in range(2 * m)]))
     parities = [_E if h % 2 == 0 else _O for h in range(2 * m)]
     for base, count in [(0, j)] + [(2 * h, j - 1) for h in range(1, m)] + [(2 * m, j)]:
         for _ in range(count):
@@ -163,7 +163,7 @@ def build_iplusone(i: int, m: int) -> FamilyInstance:
         raise ValueError("iplusone needs i >= 1")
     if m < 0:
         raise ValueError("iplusone needs m >= 0")
-    g = Multigraph(m + 2, tuple((v, v + 1) for v in range(m + 1)))
+    g = Multigraph(m + 2, tuple([(v, v + 1) for v in range(m + 1)]))
     parities = [_O] * m + [_E]
     for base, count in [(0, i + 1)] + [(h, i) for h in range(1, m + 1)]:
         for _ in range(count):

@@ -46,7 +46,7 @@ class Cover:
     parities: tuple[Parity, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parities", tuple(Parity(p) for p in self.parities))
+        object.__setattr__(self, "parities", tuple([Parity(p) for p in self.parities]))
 
     def letters(self) -> str:
         return "".join(p.letter for p in self.parities)
@@ -59,7 +59,7 @@ class PhiMap:
     sides: tuple[Side, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sides", tuple(Side(s) for s in self.sides))
+        object.__setattr__(self, "sides", tuple([Side(s) for s in self.sides]))
 
     @classmethod
     def all_rich(cls, n: int) -> PhiMap:
@@ -147,7 +147,7 @@ def cover_from_index(num_edges: int, index: int) -> Cover:
     """The index-th cover in lexicographic order (edge 0 most significant, E < O)."""
     if not 0 <= index < (1 << num_edges):
         raise ValueError(f"cover index {index} out of range for {num_edges} edges")
-    return Cover(tuple(Parity((index >> (num_edges - 1 - e)) & 1) for e in range(num_edges)))
+    return Cover(tuple([(index >> (num_edges - 1 - e)) & 1 for e in range(num_edges)]))
 
 
 def cover_index(c: Cover) -> int:
@@ -211,7 +211,7 @@ def parse_cover(text: str) -> Cover:
     missing = [e for e in range(m) if e not in seen]
     if missing:
         raise FormatError(f"missing parity for edge(s) {missing}")
-    return Cover(tuple(seen[e] for e in range(m)))
+    return Cover(tuple([seen[e] for e in range(m)]))
 
 
 def format_cover(c: Cover) -> str:

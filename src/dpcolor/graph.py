@@ -66,7 +66,7 @@ class Toughness:
     @classmethod
     def pairs(cls, pairs: Iterable[tuple[int, int]]) -> Toughness:
         ps = tuple(pairs)
-        return cls(tuple(p for p, _ in ps), tuple(r for _, r in ps), True)
+        return cls([p for p, _ in ps], [r for _, r in ps], True)
 
     @classmethod
     def zero(cls, n: int) -> Toughness:

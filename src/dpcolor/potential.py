@@ -18,9 +18,10 @@ No vertex subset is enumerated. A set's value, vertex weights minus b times
 its internal edges, is a unary term per vertex plus b per edge leaving the
 set, so its minimum under "these vertices in, those out" is one s-t minimum
 cut on n + 2 nodes (``_MinCut``). ``rho_graph`` and
-``sparsity.violating_subset`` reach their exact tie-breaks by forcing one
-vertex at a time, at most 2n max-flows a call. Both refuse graphs above
-DEFAULT_MAX_VERTICES = 192 unless the caller raises the limit.
+``sparsity.violating_subset`` read their exact tie-breaks off the least and
+greatest minimizers; one max-flow decides a negative potential or a
+guarantee. Both refuse graphs above DEFAULT_MAX_VERTICES = 192 unless the
+caller raises the limit.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ class _MinCut:
     an arc from s (their sum is added back), and each bundle of parallel edges is one arc of
     capacity coeff * multiplicity each way. A forced vertex gets an arc from s (in) or to t (out)
     heavier than all the others together, so no minimum cut leaves it on the wrong side. Each call
-    is one Dinic max-flow in exact ints.
+    is one Dinic max-flow in exact ints. The least minimizer is what s reaches in the final
+    residual network, the greatest what cannot reach t (Picard and Queyranne 1980).
     """
 
     def __init__(self, g: Multigraph, weights: list[int], coeff: int) -> None:
@@ -170,16 +172,12 @@ class _MinCut:
         self.heavy = 1 + sum(map(sum, self.cap))
         self.adj = [[w for w in range(n) if self.cap[v][w]] + [self.s, self.t] for v in range(n)]
         self.adj += [list(range(n)), list(range(n))]
-        self.weights = weights
 
-    def value(self, members: list[int]) -> int:
-        """val(members) itself; each internal bundle sits twice in the arc matrix."""
-        internal = sum(self.cap[u][w] for u in members for w in members)
-        return sum(self.weights[v] for v in members) - internal // 2
-
-    def minimum(self, ins: Iterable[int], outs: Iterable[int]) -> int:
+    def minimum(self, ins: Iterable[int], outs: Iterable[int]) -> tuple[int, list[int], list[int]]:
+        """The minimum value, with the least and the greatest minimizer as sorted lists."""
         cap = [row[:] for row in self.cap]
         s, t, adj = self.s, self.t, self.adj
+        n = s
         for v in ins:
             cap[s][v] += self.heavy
         for v in outs:
@@ -195,7 +193,7 @@ class _MinCut:
                         level[w] = level[u] + 1
                         queue.append(w)
             if level[t] < 0:
-                return (flow + self.offset) // 2
+                break
             # blocking flow: walk the level graph depth first on an explicit
             # stack, where tried[u] is the next arc of u still worth trying
             tried = [0] * len(cap)
@@ -222,6 +220,17 @@ class _MinCut:
                     path.pop()
                     if path:
                         tried[path[-1]] += 1
+        # level marks what s reaches; now mark what reaches t, backwards along residual arcs
+        sink = [False] * len(cap)
+        sink[t] = True
+        queue = [t]
+        for w in queue:
+            for u in adj[w]:
+                if not sink[u] and cap[u][w]:
+                    sink[u] = True
+                    queue.append(u)
+        least = [v for v in range(n) if level[v] >= 0]
+        return (flow + self.offset) // 2, least, [v for v in range(n) if not sink[v]]
 
 
 def rho_graph(
@@ -237,12 +246,11 @@ def rho_graph(
     regime, scalars otherwise.
 
     The value is a minimum s-t cut (``_MinCut``). Ties break to the
-    lexicographically smallest subset as a sorted id tuple, found by forcing:
-    the first vertex v* is the least v whose minimum with v in and every
-    lower vertex out is the overall one; then each later u is kept if forcing
-    it in still reaches the minimum and forced out if not, until the kept set
-    reaches it alone. That is at most 2n max-flows. The empty set is
-    excluded: its potential is always 0 and would clamp every threshold
+    lexicographically smallest subset as a sorted id tuple: the shortest
+    prefix of the greatest minimizer that reaches the minimum, as a vertex
+    lies in some minimizer exactly when it lies in the greatest. If only the
+    empty set is one, n more cuts force the least vertex first. The empty set
+    is excluded: its potential is always 0 and would clamp every threshold
     comparison. Graphs above max_vertices (192 by default) are refused.
     """
     if g.n > max_vertices:
@@ -254,18 +262,18 @@ def rho_graph(
         t = Toughness.zero_pairs(g.n) if pairs else Toughness.zero(g.n)
     t.check(params, g.n)
     _, coeff, _ = _potential_row(params)
-    cut = _MinCut(g, [rho_vertex(params, t, v) for v in range(g.n)], coeff)
-    firsts = [cut.minimum([v], range(v)) for v in range(g.n)]
-    best = min(firsts)
-    first = firsts.index(best)
-    kept, dropped = [first], list(range(first))
-    for u in range(first + 1, g.n):
-        if cut.value(kept) == best:
+    weights = [rho_vertex(params, t, v) for v in range(g.n)]
+    cut = _MinCut(g, weights, coeff)
+    best, _, top = cut.minimum((), ())
+    if not top:
+        forced = (cut.minimum([v], range(v)) for v in range(g.n))
+        best, _, top = min(forced, key=lambda found: found[0])
+    kept, value = [], 0
+    for u in top:
+        value += weights[u] - sum(cut.cap[u][w] for w in kept)
+        kept.append(u)
+        if value == best:
             break
-        if cut.minimum(kept + [u], dropped) == best:
-            kept.append(u)
-        else:
-            dropped.append(u)
     return best, frozenset(kept)
 
 

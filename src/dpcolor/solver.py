@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, Side, _check_cover, _parity_vectors
+from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, _check_cover, _parity_vectors
 from .covertree import Caps, _CoverTree
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 
@@ -220,9 +220,9 @@ def _fold_blocks(
             label = {v: 0, u: 1}
             for w in block:
                 label.setdefault(w, len(label))
-            edges = tuple((label[a], label[b]) for a, b in h.edges if a in label and b in label)
+            edges = tuple([(label[a], label[b]) for a, b in h.edges if a in label and b in label])
             p_caps = [caps[w] for w in list(label)[1:]]
-            p_bases = tuple(label[b] for b in bases if b in block)
+            p_bases = tuple([label[b] for b in bases if b in block])
             key = (edges, tuple(p_caps), p_bases)
             if key not in probed:
                 probed[key] = _gadget(Multigraph(len(label), edges), p_caps, p_bases)
@@ -270,7 +270,7 @@ def _degree_first(g: Multigraph) -> tuple[Multigraph, list[int]]:
     position = [0] * len(order)
     for k, e in enumerate(order):
         position[e] = k
-    return Multigraph(g.n, tuple(g.edges[e] for e in order)), position
+    return Multigraph(g.n, tuple([g.edges[e] for e in order])), position
 
 
 def exhaustive_color(
@@ -310,7 +310,7 @@ def exhaustive_color(
     sides = _Search(g, caps).run(bits)
     if sides is None:
         return None
-    return PhiMap(tuple(Side(s) for s in sides))
+    return PhiMap(tuple(sides))
 
 
 def greedy_color(g: Multigraph, c: Cover, i: int) -> PhiMap | None:
@@ -338,7 +338,7 @@ def greedy_color(g: Multigraph, c: Cover, i: int) -> PhiMap | None:
     while True:
         v = next((w for w in range(g.n) if conf[w] >= i + 1), None)
         if v is None:
-            return PhiMap(tuple(Side(s) for s in sides))
+            return PhiMap(tuple(sides))
         flipped = len(incident[v]) - conf[v]
         if flipped >= conf[v]:
             return None

@@ -32,25 +32,42 @@ def violating_subset(
 ) -> frozenset[int] | None:
     """First vertex subset in numeric mask order whose induced counts break the inequality, or None.
 
-    Each test "some S with these vertices in and those out breaks it" is one minimum cut
-    (``potential._MinCut``). The top vertex is the least v that has a violating S with v in and
-    every higher vertex out; walking down from it, a vertex is left out whenever a violating set
-    survives without it. That is at most 2n max-flows. Graphs above max_vertices (192 by default)
-    are refused.
+    As c <= 1, S breaks it exactly when (n + 1)(a|S| - b|E(S)|) - |S| < (n + 1)(c - 1), which
+    the empty set never does, so one ``potential._MinCut`` tells whether a violating set holds
+    these vertices and avoids those. The top vertex, the least v with a violating set inside
+    0..v, is found by binary search; walking down, a vertex is dropped whenever a violating set
+    survives without it, with no cut if the last violating cut's least minimizer avoids it.
+    Graphs above max_vertices (192 by default) are refused.
     """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
     a, b, c = _inequality(params)
-    cut = _MinCut(g, [a] * g.n, b)
-    top = next((v for v in range(g.n) if cut.minimum([v], range(v + 1, g.n)) < c), None)
-    if top is None:
+    n = g.n
+    cut = _MinCut(g, [(n + 1) * a - 1] * n, (n + 1) * b)
+
+    def violated(ins: list[int], outs: list[int] | range) -> set[int] | None:
+        value, least, _ = cut.minimum(ins, outs)
+        return set(least) if value < (n + 1) * (c - 1) else None
+
+    witness = violated([], [])
+    if witness is None:
         return None
-    kept, dropped = [top], list(range(top + 1, g.n))
-    for u in range(top - 1, -1, -1):
-        if cut.minimum(kept, dropped + [u]) < c:
-            dropped.append(u)
+    lo, top = 0, n - 1
+    while lo < top:
+        mid = (lo + top) // 2
+        found = violated([], range(mid + 1, n))
+        if found is None:
+            lo = mid + 1
         else:
+            top, witness = mid, found
+    kept, dropped = [top], list(range(top + 1, n))
+    for u in range(top - 1, -1, -1):
+        found = violated(kept, dropped + [u]) if u in witness else witness
+        if found is None:
             kept.append(u)
+        else:
+            witness = found
+            dropped.append(u)
     return frozenset(kept)
 
 

@@ -6,7 +6,18 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import strategies as st
 
-from dpcolor import Cover, DefectParams, Multigraph, Parity, Toughness, solver
+from dpcolor import (
+    Cover,
+    DefectParams,
+    Multigraph,
+    Parity,
+    Toughness,
+    build_equal,
+    build_large,
+    build_zeroj,
+    potential,
+    solver,
+)
 
 SMALL_PARAMS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2), (2, 4)]
 
@@ -141,3 +152,35 @@ def kernel(request, monkeypatch):
     if request.param == "search":
         monkeypatch.setattr(solver, "_TREE_MAX_VERTICES", -1)
     return request.param
+
+
+@pytest.fixture
+def max_flows(monkeypatch):
+    """A list that gains one entry per ``_MinCut`` max-flow run during the test."""
+    runs: list[tuple] = []
+    minimum = potential._MinCut.minimum
+
+    def counted(self, ins, outs):
+        runs.append((list(ins), list(outs)))
+        return minimum(self, ins, outs)
+
+    monkeypatch.setattr(potential._MinCut, "minimum", counted)
+    return runs
+
+
+def tied_graphs():
+    """Inputs with many tied minimizers, n <= 14: small family instances next to a relabeled copy
+    of themselves, so each minimizer has a twin, and cycles with every edge repeated."""
+    for inst in (
+        build_zeroj(1, 1),
+        build_zeroj(1, 2),
+        build_large(1, 3, 0),
+        build_equal(1, 1),
+        build_equal(1, 2),
+        build_equal(2, 1),
+    ):
+        g = inst.graph
+        yield Multigraph(2 * g.n, g.edges + tuple([(u + g.n, w + g.n) for u, w in g.edges]))
+    for n in range(3, 9):
+        for mult in (1, 2, 3):
+            yield Multigraph(n, [(v, (v + 1) % n) for v in range(n) for _ in range(mult)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import every_small_multigraph, multigraphs, seeded_multigraphs
+from conftest import every_small_multigraph, multigraphs, seeded_multigraphs, tied_graphs
+from dpcolor.potential import _MinCut
 from dpcolor.sparsity import _inequality, violating_subset
 from dpcolor import (
     BudgetError,
@@ -18,6 +20,8 @@ from dpcolor import (
     Toughness,
     build_equal,
     build_iplusone,
+    build_large,
+    build_mid,
     build_zeroj,
     edge_bound,
     potential_threshold,
@@ -345,3 +349,73 @@ def test_error_messages_without_a_row_or_potential():
         _inequality(p)
     with pytest.raises(ValueError, match="^regime zero_zero has no potential$"):
         rho_set(Multigraph(1, ()), p, Toughness.zero(1), ())
+
+
+# Family instances with m <= 2 in the four regimes with a potential; each has rho <= -k < 0.
+POTENTIAL_FAMILIES = (
+    [build_zeroj(j, m) for j in (1, 2, 3) for m in (1, 2)]
+    + [build_large(i, j, m) for i, j in ((1, 3), (1, 4), (2, 5)) for m in (0, 1, 2)]
+    + [build_mid(i, j, m) for i, j in ((2, 4), (3, 5), (3, 6)) for m in (1, 2)]
+    + [build_iplusone(i, m) for i in (1, 2) for m in (0, 1, 2)]
+)
+
+def _cut_values(g: Multigraph, weights: list[int], coeff: int) -> dict[frozenset[int], int]:
+    """val(S) of every vertex set, the empty one included, from the definition."""
+    values = {}
+    for mask in range(1 << g.n):
+        s = frozenset(v for v in range(g.n) if mask >> v & 1)
+        internal = sum(1 for u, w in g.edges if u in s and w in s)
+        values[s] = sum(weights[v] for v in s) - coeff * internal
+    return values
+
+
+@given(multigraphs(max_n=6, max_edges=9), st.data())
+def test_min_cut_returns_the_least_and_greatest_minimizer(g, data):
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=g.n, max_size=g.n))
+    coeff = data.draw(st.integers(1, 3))
+    ins = data.draw(st.sets(st.sampled_from(range(g.n)))) if g.n else set()
+    outs = data.draw(st.sets(st.sampled_from(range(g.n)))) - ins if g.n else set()
+    feasible = {
+        s: v for s, v in _cut_values(g, weights, coeff).items() if ins <= s and not outs & s
+    }
+    best = min(feasible.values())
+    minimizers = [s for s, v in feasible.items() if v == best]
+    least = frozenset.intersection(*minimizers)
+    greatest = frozenset.union(*minimizers)
+    assert _MinCut(g, weights, coeff).minimum(sorted(ins), sorted(outs)) == (
+        best,
+        sorted(least),
+        sorted(greatest),
+    )
+
+
+@pytest.mark.parametrize("inst", POTENTIAL_FAMILIES, ids=lambda inst: f"{inst.family}-{inst.i}-{inst.j}-{inst.m}")
+def test_rho_graph_takes_one_max_flow_on_family_instances(inst, max_flows):
+    value, _ = rho_graph(inst.graph, inst.params)
+    assert value <= potential_threshold(inst.params)
+    assert len(max_flows) == 1
+
+
+def test_rho_graph_matches_oracle_with_tied_minimizers():
+    for g in tied_graphs():
+        for ij in POTENTIAL_IJ:
+            params = DefectParams(*ij)
+            for t in _fixed_toughness(params, g.n):
+                value, argmin = rho_graph(g, params, t)
+                assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t), (g, ij, t)
+
+
+def test_rho_graph_falls_back_to_forced_cuts_when_every_set_is_positive(max_flows):
+    """At (1, 2) a vertex weighs 7 and an edge 5, so on trees and paths every nonempty set
+    is positive and only the empty set is a minimizer of the unforced cut."""
+    params = DefectParams(1, 2)
+    rng = random.Random(5)
+    paths = [Multigraph(n, [(v, v + 1) for v in range(n - 1)]) for n in range(1, 11)]
+    trees = [Multigraph(n, [(v, rng.randrange(v)) for v in range(1, n)]) for n in range(2, 13)]
+    for g in paths + trees:
+        t = Toughness.zero_pairs(g.n)
+        del max_flows[:]
+        value, argmin = rho_graph(g, params, t)
+        assert value > 0
+        assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t), g
+        assert len(max_flows) == 1 + g.n

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import defect_params, every_small_multigraph, multigraphs, seeded_multigraphs
+from conftest import defect_params, every_small_multigraph, multigraphs, seeded_multigraphs, tied_graphs
 from dpcolor import (
     BudgetError,
     DefectParams,
@@ -132,3 +133,32 @@ def test_violating_subset_matches_oracle_on_seeded_larger_graphs():
         got = violating_subset(g, params)
         expect = _first_violation(g, params)
         assert (None if got is None else tuple(sorted(got))) == expect, (g, params)
+
+
+def test_violating_subset_matches_oracle_with_tied_violations():
+    for g in tied_graphs():
+        for ij in SPARSITY_IJ:
+            params = DefectParams(*ij)
+            got = violating_subset(g, params)
+            expect = _first_violation(g, params)
+            assert (None if got is None else tuple(sorted(got))) == expect, (g, ij)
+
+
+def test_violating_subset_takes_one_max_flow_under_the_guarantee(max_flows):
+    graphs = [Multigraph(n, [(v, v + 1) for v in range(n - 1)]) for n in range(1, 30)]
+    graphs += [Multigraph(n, [(v, (v + 1) % n) for v in range(n)]) for n in range(3, 30)]
+    for g in graphs:
+        for ij in ((0, 1), (1, 3), (2, 4), (1, 2)):
+            del max_flows[:]
+            assert violating_subset(g, DefectParams(*ij)) is None
+            assert len(max_flows) == 1
+
+
+def test_violating_subset_finds_its_top_vertex_by_binary_search(max_flows):
+    """Cuts with no forced-in vertex locate the top vertex: at most ceil(log2 n) + 1 of them."""
+    for k, g in enumerate(seeded_multigraphs(seed=13, count=30, min_n=2, max_n=40)):
+        params = DefectParams(*SPARSITY_IJ[k % len(SPARSITY_IJ)])
+        del max_flows[:]
+        violating_subset(g, params)
+        unforced = [outs for ins, outs in max_flows if not ins]
+        assert len(unforced) <= math.ceil(math.log2(g.n)) + 1
