@@ -19,7 +19,7 @@ from .potential import (
     regime,
     rho_graph,
 )
-from .solver import _degree_first, _fold, _fold_blocks, _scan_checked, _scan_critical
+from .solver import _caps, _core, _scan_checked, _scan_critical
 from .solver import is_colorable  # noqa: F401  (bench/tracer.py wraps critical.is_colorable)
 
 DEFAULT_MAX_SEARCH_VERTICES = 5
@@ -56,21 +56,18 @@ def is_critical(
     no conflict at all. So G is colorable whenever G - uv is, and G is not
     critical either way.
 
-    What is scanned is the core H of G without its flags, with each base's
-    caps lowered by one per flag folded there (solver._fold). A flag x is a
-    vertex of degree 2 with both edges to one base v, and it folds only if
-    both of its caps are non-negative and one is at least 1; _fold shows
-    that G is colorable over every cover exactly when H is. The min-cap
-    condition matters: a flag end with a negative cap may be forced to the
-    side on which both of its edges conflict at v, which the fold would miss.
-    Deleting an edge of H leaves every flag in place, so G - e is H - e with
-    the same caps. Deleting a flag edge leaves x pendant, and a pendant
-    vertex with both caps non-negative never conflicts (as above), so G - e
-    is H with v's caps raised back by one: the base relaxation. G is
-    critical exactly when H is uncolorable, every H - e is colorable, and H
-    is colorable after each base relaxation. Then each pendant block of H
-    that folds becomes a one-edge gadget (solver._fold_blocks), and H is
-    critical exactly when the result is.
+    What is scanned is the core of G (solver._core). First G's flags fold
+    into their bases' caps: solver._fold states which vertices are flags,
+    how much each lowers its base, and why G is colorable over every cover
+    exactly when the flag-folded H is. Deleting an edge of H leaves every
+    flag in place, so G - e is H - e with the same caps. Deleting the edge
+    of a flag x at base v leaves x pendant, and a pendant vertex with both
+    caps non-negative never conflicts (as above), so G - e is H with v's
+    caps raised back by one: the base relaxation. G is critical exactly
+    when H is uncolorable, every H - e is colorable, and H is colorable
+    after each base relaxation. Then each pendant block of H that folds
+    becomes a one-edge gadget (solver._fold_blocks), and H is critical
+    exactly when the result is.
 
     One scan of H's covers decides all of these. Each cover of H - e is the
     restriction of a cover of H, and deleting an edge only removes
@@ -93,8 +90,7 @@ def is_critical(
         deg[v] == 1 and t.poor[v] <= params.i and t.rich[v] <= params.j for v in range(g.n)
     ):
         return False
-    h, caps, bases = _fold_blocks(*_fold(g, params, t))
-    return _scan_critical(_degree_first(h)[0], caps, bases)
+    return _scan_critical(*_core(g, _caps(params, t)))
 
 
 @dataclass(frozen=True)

@@ -106,21 +106,11 @@ def _caps(params: DefectParams, t: Toughness) -> list[tuple[int, int]]:
     return [(params.j - tr, params.i - tp) for tp, tr in zip(t.poor, t.rich)]
 
 
-def _flags(g: Multigraph, caps: Caps) -> dict[int, int]:
-    """Each flag of g that folds (see _fold), mapped to its base."""
-    flags: dict[int, int] = {}
-    for x, inc in enumerate(g.incidence()):
-        if len(inc) != 2 or inc[0][0] != inc[1][0] or inc[0][0] in flags:
-            continue
-        if min(caps[x]) >= 0 and max(caps[x]) >= 1:
-            flags[x] = inc[0][0]
-    return flags
-
-
 def _fold(
-    g: Multigraph, params: DefectParams, t: Toughness
-) -> tuple[Multigraph, list[tuple[int, int]], list[int]]:
-    """The core H of g without its flags, H's caps, and the bases of the flags.
+    g: Multigraph, caps: Caps, fixed: Sequence[int | None] = ()
+) -> tuple[Multigraph, list[tuple[int, int]], list[int], list[int | None]]:
+    """The core H of g without its flags, H's caps, the bases of the flags,
+    and fixed restricted to H's edges: the one statement of the flag rule.
 
     A flag is a vertex x of degree 2 whose two edges both go to one base v,
     and it folds when both of its caps are non-negative and one is at least 1.
@@ -128,20 +118,30 @@ def _fold(
     conflicts whatever the sides, so v and x each take one conflict, which x
     can afford on a side with cap >= 1. If they agree, x takes the side on
     which neither conflicts, which its non-negative caps allow wherever v lies.
-    More conflicts never help, so g is colorable over every cover exactly when
-    H is with each base's caps lowered by one per flag folded there. Only
-    vertices of g fold, with no cascade; in a bare digon one end stays as the
-    base. H keeps g's vertex and edge order, and the bases are H's ids of the
-    vertices with a flag folded, in ascending order.
+    More conflicts never help, so a flag lowers its base's caps by one unless
+    fixed (parities of g's edges, None or past its end for undecided) gives
+    both of its edges the same parity: g has a bad cover that extends fixed
+    exactly when H has one that extends H's part of it. Only vertices of g
+    fold, with no cascade; in a bare digon one end stays as the base. H keeps
+    g's vertex and edge order, so a prefix of g's edges restricts to a prefix
+    of H's, and the bases are H's ids of the vertices with a flag folded, in
+    ascending order.
     """
-    caps = _caps(params, t)
-    folded = [0] * g.n  # flags folded at each base
-    flags = _flags(g, caps)
-    for v in flags.values():
-        folded[v] += 1
+    flags: dict[int, int] = {}
+    lower = [0] * g.n  # per base, what its caps go down by
+    for x, inc in enumerate(g.incidence()):
+        if len(inc) != 2 or inc[0][0] != inc[1][0] or inc[0][0] in flags:
+            continue
+        if min(caps[x]) >= 0 and max(caps[x]) >= 1:
+            (v, e), (_, f) = inc
+            flags[x] = v
+            p, q = (fixed[d] if d < len(fixed) else None for d in (e, f))
+            lower[v] += p is None or p != q
     h, keep = g.induced_subgraph(v for v in range(g.n) if v not in flags)
-    h_caps = [(caps[v][0] - folded[v], caps[v][1] - folded[v]) for v in keep]
-    return h, h_caps, [k for k, v in enumerate(keep) if folded[v]]
+    h_caps = [(caps[v][0] - lower[v], caps[v][1] - lower[v]) for v in keep]
+    based = set(flags.values())
+    h_fixed = [b for b, (u, w) in zip(fixed, g.edges) if u not in flags and w not in flags]
+    return h, h_caps, [k for k, v in enumerate(keep) if v in based], h_fixed
 
 
 # The most vertices a pendant block may have; its probes scan one more.
@@ -273,6 +273,15 @@ def _degree_first(g: Multigraph) -> tuple[Multigraph, list[int]]:
     return Multigraph(g.n, tuple([g.edges[e] for e in order])), position
 
 
+def _core(g: Multigraph, caps: Caps) -> tuple[Multigraph, list[tuple[int, int]], list[int]]:
+    """What the verdict scans: g without its flags (_fold) and its pendant
+    blocks (_fold_blocks), with its edges in degree-first order
+    (_degree_first); its caps; and the bases of its flags."""
+    h, h_caps, bases, _ = _fold(g, caps)
+    h, h_caps, bases = _fold_blocks(h, h_caps, bases)
+    return _degree_first(h)[0], h_caps, bases
+
+
 def exhaustive_color(
     g: Multigraph,
     c: Cover,
@@ -286,27 +295,17 @@ def exhaustive_color(
     Existence agrees with brute force over all 2^n side vectors; the returned
     witness is the first one in the deterministic branch order.
 
-    Existence is decided first without the flags, by _fold's argument for
-    one cover: a flag with differing parities lowers its base's caps by one,
-    one with equal parities drops out. Only then is g searched, for the map.
+    Existence is decided first on g without its flags, folded under this
+    cover's parities (_fold). Only then is g searched, for the map.
     """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
     _check_cover(g, c)
     caps = _caps(params, _checked(g, params, t))
     bits = [int(p) for p in c.parities]
-    flags = _flags(g, caps)
-    if flags:
-        incident = g.incidence()
-        mixed = [0] * g.n  # per base, its flags whose parities differ
-        for x, v in flags.items():
-            (_, e), (_, f) = incident[x]
-            mixed[v] += bits[e] != bits[f]
-        h, keep = g.induced_subgraph(v for v in range(g.n) if v not in flags)
-        h_caps = [(caps[v][0] - mixed[v], caps[v][1] - mixed[v]) for v in keep]
-        h_bits = [b for b, (u, w) in zip(bits, g.edges) if u not in flags and w not in flags]
-        if _Search(h, h_caps).run(h_bits) is None:
-            return None
+    h, h_caps, bases, h_bits = _fold(g, caps, bits)
+    if bases and _Search(h, h_caps).run(h_bits) is None:
+        return None
     sides = _Search(g, caps).run(bits)
     if sides is None:
         return None
@@ -362,16 +361,15 @@ def is_colorable(
 
     Returns (True, None), or (False, w) where w is the lexicographically
     first cover with no coloring: edge 0 most significant, E < O.
-    max_covers bounds G's raw 2^|E|. The verdict comes from one scan of g
-    without its flags (_fold) and its pendant blocks (_fold_blocks), with
-    its edges in degree-first order (_degree_first); only an uncolorable g
-    is scanned again, for the witness (_first_bad_cover).
+    max_covers bounds G's raw 2^|E|. The verdict comes from one scan of g's
+    core (_core); only an uncolorable g is scanned again, for the witness
+    (_first_bad_cover).
     """
-    t = _scan_checked(g, params, t, max_covers)
-    h, caps, _ = _fold_blocks(*_fold(g, params, t))
-    if next(_kernel(_degree_first(h)[0], caps)[0], None) is None:
+    caps = _caps(params, _scan_checked(g, params, t, max_covers))
+    h, h_caps, _ = _core(g, caps)
+    if next(_kernel(h, h_caps)[0], None) is None:
         return True, None
-    return False, Cover(_first_bad_cover(g, _caps(params, t)))
+    return False, Cover(_first_bad_cover(g, caps))
 
 
 def _first_bad_cover(g: Multigraph, caps: Caps) -> tuple[int, ...]:
@@ -379,48 +377,29 @@ def _first_bad_cover(g: Multigraph, caps: Caps) -> tuple[int, ...]:
 
     With no flag folded, it is the first cover of one lex scan of g.
     Otherwise g's edges are fixed one at a time in g's order, E kept while g
-    still has a bad cover under the prefix, and each question is a verdict
-    scan of the core H. By _fold's argument, g is uncolorable under a cover
-    exactly when H is under its restriction, with each base's caps lowered
-    by one per flag whose two parities differ. Lower caps never help, so a
-    flag with an undecided edge counts one, as the cover can still make it
-    mixed; a flag with both edges decided counts one if they differ and
-    none if they agree. So a flag's first edge changes nothing and takes E
-    without a scan: at most |E| scans of H, each in degree-first order.
+    still has a bad cover under the prefix. Each question is whether H, g
+    folded under the prefix (_fold), has a bad cover extending H's part of
+    it, asked of H in degree-first order. When fixing E leaves H's caps and
+    parities as they were, as at a flag's first edge, the question was
+    already answered yes and takes no scan.
     """
-    flags = _flags(g, caps)
-    if not flags:
+    h, h_caps, bases, h_fixed = _fold(g, caps)
+    if not bases:
         return next(_kernel(g, caps)[0])
-    h, keep = g.induced_subgraph(v for v in range(g.n) if v not in flags)
     scan_h, position = _degree_first(h)
-    fixed: list[int | None] = [None] * len(position)
-    lowered = [0] * g.n  # per base, the flags that still count one
-    for v in flags.values():
-        lowered[v] += 1
-
-    def bad_cover_left() -> bool:
-        scan_caps = [(caps[v][0] - lowered[v], caps[v][1] - lowered[v]) for v in keep]
-        return next(_kernel(scan_h, scan_caps, fixed=fixed)[0], None) is not None
-
     bits: list[int] = []
-    slots = iter(position)  # H keeps g's edge order, so its edges come in turn
-    half_decided: set[int] = set()
-    for u, w in g.edges:
-        x = u if u in flags else w if w in flags else None
-        if x is None:
-            k = next(slots)
-            fixed[k] = 0
-            bit = 0 if bad_cover_left() else 1
+    for _ in g.edges:
+        known = (h_caps, h_fixed)  # has a bad cover
+        bits.append(0)
+        _, h_caps, _, h_fixed = _fold(g, caps, bits)
+        if (h_caps, h_fixed) == known:
+            continue
+        fixed: list[int | None] = [None] * len(position)
+        for k, bit in zip(position, h_fixed):
             fixed[k] = bit
-        elif x not in half_decided:
-            half_decided.add(x)
-            bit = 0
-        else:
-            # E after E: the flag agrees and stops counting at its base
-            lowered[flags[x]] -= 1
-            bit = 0 if bad_cover_left() else 1
-            lowered[flags[x]] += bit
-        bits.append(bit)
+        if next(_kernel(scan_h, h_caps, fixed=fixed)[0], None) is None:
+            bits[-1] = 1
+            _, h_caps, _, h_fixed = _fold(g, caps, bits)
     return tuple(bits)
 
 

@@ -7,6 +7,8 @@ suffice: dropping edges on the same vertex set only loosens the inequality.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .cover import DEFAULT_MAX_COVERS
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 from .potential import DEFAULT_MAX_VERTICES, Regime, _MinCut, _row, regime
@@ -27,17 +29,14 @@ def _inequality(params: DefectParams) -> tuple[int, int, int]:
     return a, b, (2 if r is Regime.LARGE else 1) - k
 
 
-def violating_subset(
-    g: Multigraph, params: DefectParams, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> frozenset[int] | None:
-    """First vertex subset in numeric mask order whose induced counts break the inequality, or None.
+def _violations(
+    g: Multigraph, params: DefectParams, max_vertices: int
+) -> Callable[[list[int], list[int] | range], set[int] | None]:
+    """Whether a vertex set that holds ins and avoids outs breaks the inequality: the least
+    such set that one ``potential._MinCut`` finds, or None.
 
     As c <= 1, S breaks it exactly when (n + 1)(a|S| - b|E(S)|) - |S| < (n + 1)(c - 1), which
-    the empty set never does, so one ``potential._MinCut`` tells whether a violating set holds
-    these vertices and avoids those. The top vertex, the least v with a violating set inside
-    0..v, is found by binary search; walking down, a vertex is dropped whenever a violating set
-    survives without it, with no cut if the last violating cut's least minimizer avoids it.
-    Graphs above max_vertices (192 by default) are refused.
+    the empty set never does. Graphs above max_vertices are refused.
     """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
@@ -49,6 +48,22 @@ def violating_subset(
         value, least, _ = cut.minimum(ins, outs)
         return set(least) if value < (n + 1) * (c - 1) else None
 
+    return violated
+
+
+def violating_subset(
+    g: Multigraph, params: DefectParams, *, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> frozenset[int] | None:
+    """First vertex subset in numeric mask order whose induced counts break the inequality, or None.
+
+    Each question, whether a violating set holds these vertices and avoids those, is one cut
+    (_violations). The top vertex, the least v with a violating set inside 0..v, is found by
+    binary search; walking down, a vertex is dropped whenever a violating set survives without
+    it, with no cut if the last violating cut's least minimizer avoids it. Graphs above
+    max_vertices (192 by default) are refused.
+    """
+    violated = _violations(g, params, max_vertices)
+    n = g.n
     witness = violated([], [])
     if witness is None:
         return None
@@ -74,8 +89,8 @@ def violating_subset(
 def sparsity_guarantee(
     g: Multigraph, params: DefectParams, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> bool:
-    """Whether every nonempty induced subgraph satisfies the regime inequality."""
-    return violating_subset(g, params, max_vertices=max_vertices) is None
+    """Whether every nonempty induced subgraph satisfies the regime inequality: one cut."""
+    return _violations(g, params, max_vertices)([], []) is None
 
 
 def guarantee_implies_colorable(

@@ -1,10 +1,13 @@
 """Folding flags into caps and pendant blocks into gadgets: solver._fold,
 solver._fold_blocks and the verdicts that go through them.
 
-is_colorable and is_critical decide G from its core H, G without its flags
-and with each pendant block that folds replaced by one gadget edge, so each
-is checked against the oracles on graphs that carry flags or pendant
-blocks, with toughness, on both scan kernels.
+solver._fold is the one statement of the flag rule, for the verdict, the
+witness's prefix scans and exhaustive_color's single cover alike. The
+tests pin its output, its min-cap condition and its prefix form against
+the oracles. is_colorable and is_critical decide G from its core H, G
+without its flags and with each pendant block that folds replaced by one
+gadget edge, so each is checked against the oracles on graphs that carry
+flags or pendant blocks, with toughness, on both scan kernels.
 """
 
 from __future__ import annotations
@@ -64,14 +67,22 @@ class TestFold:
     def test_flags_leave_and_lower_their_base(self):
         # two flags at vertex 1 of an edge 01
         g = Multigraph(4, [(0, 1), (1, 2), (2, 1), (3, 1), (1, 3)])
-        h, caps, bases = solver._fold(g, DefectParams(1, 2), Toughness.zero(4))
+        h, caps, bases, _ = solver._fold(g, solver._caps(DefectParams(1, 2), Toughness.zero(4)))
         assert h == Multigraph(2, [(0, 1)])
         assert caps == [(2, 1), (0, -1)]
         assert bases == [1]
 
+    def test_a_prefix_lowers_a_base_only_for_flags_it_leaves_mixed(self):
+        # the same graph under the prefix O, E, E, E: flag 2's edges agree,
+        # flag 3 has one edge undecided, and H keeps the edge 01's parity
+        g = Multigraph(4, [(0, 1), (1, 2), (2, 1), (3, 1), (1, 3)])
+        caps = solver._caps(DefectParams(1, 2), Toughness.zero(4))
+        _, h_caps, bases, h_fixed = solver._fold(g, caps, [1, 0, 0, 0])
+        assert (h_caps, bases, h_fixed) == ([(2, 1), (1, 0)], [1], [1])
+
     def test_a_bare_digon_folds_one_end(self):
         g = Multigraph(2, [(0, 1)] * 2)
-        h, caps, bases = solver._fold(g, DefectParams(1, 1), Toughness.zero(2))
+        h, caps, bases, _ = solver._fold(g, solver._caps(DefectParams(1, 1), Toughness.zero(2)))
         assert h == Multigraph(1, ())
         assert caps == [(0, 0)] and bases == [0]
 
@@ -85,12 +96,12 @@ class TestFold:
     )
     def test_a_flag_needs_both_caps_and_one_above_zero(self, t):
         g = Multigraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2)])
-        h, _, bases = solver._fold(g, DefectParams(1, 2), t)
+        h, _, bases, _ = solver._fold(g, solver._caps(DefectParams(1, 2), t))
         assert (h, bases) == (g, [])
 
     def test_folding_shrinks_the_families(self):
         inst = build_family("iplusone", 1, None, 1)
-        h, _, _ = solver._fold(inst.graph, inst.params, Toughness.zero(inst.graph.n))
+        h, _, _, _ = solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))
         assert (inst.graph.n, len(inst.graph.edges)) == (17, 24)
         assert (h.n, len(h.edges)) == (9, 8)
 
@@ -124,6 +135,36 @@ def test_negative_caps_match_oracles(kernel, g, params, t):
 def test_flagged_graphs_match_oracles(kernel, g, params, data):
     t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
     assert_matches_oracles(g, params, t)
+
+
+@settings(KERNEL_SETTINGS, max_examples=150)
+@given(flagged_multigraphs(), defect_params(include_zero_zero=False), st.data())
+def test_a_prefix_folds_into_the_flags_it_decides(kernel, g, params, data):
+    # g has a bad cover extending a partial cover exactly when its core does
+    # under _fold's caps for that partial cover
+    t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
+    fixed = data.draw(st.lists(st.sampled_from((None, 0, 1)), max_size=len(g.edges)))
+    h, caps, _, h_fixed = solver._fold(g, solver._caps(params, t), fixed)
+    every = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
+    expect = any(all(f is None or f == b for f, b in zip(fixed, bits)) for bits in every)
+    assert (next(solver._kernel(h, caps, fixed=h_fixed)[0], None) is not None) == expect
+
+
+def test_the_witness_takes_no_scan_at_a_flags_first_edge(monkeypatch):
+    # iplusone i = 1, m = 1: one verdict scan, then one per core edge (8)
+    # and per flag's second edge (8); a flag's first edge changes nothing
+    scans = []
+    kernel = solver._kernel
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_kernel", counted)
+    inst = build_family("iplusone", 1, None, 1)
+    ok, witness = is_colorable(inst.graph, inst.params)
+    assert (ok, witness.letters()) == (False, "OEEEEOEOEEEOEOEEEOEOEOEO")
+    assert len(scans) == 17
 
 
 def test_small_cores_with_a_flag_match_oracles(kernel):
@@ -173,7 +214,7 @@ class TestFoldBlocks:
     def test_zeroj_folds_to_its_cycle_and_one_gadget_per_triangle(self, j, m):
         inst = build_family("zeroj", None, j, m)
         h, caps, bases = solver._fold_blocks(
-            *solver._fold(inst.graph, inst.params, Toughness.zero(inst.graph.n))
+            *solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))[:3]
         )
         cycle = [(v, v + 1) for v in range(m)] + [(m, 0)]
         assert h == Multigraph(m + 1 + j, cycle + [(m + 1 + k, 0) for k in range(j)])
@@ -184,7 +225,7 @@ class TestFoldBlocks:
         # 4-cycle itself hangs from that gadget and folds in turn
         inst = build_family("zeroj", None, 1, 3)
         h, caps, _ = solver._fold_blocks(
-            *solver._fold(inst.graph, inst.params, Toughness.zero(inst.graph.n))
+            *solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))[:3]
         )
         assert (h, caps) == (Multigraph(2, [(1, 0)]), [(0, -1), (0, -1)])
 
@@ -192,7 +233,7 @@ class TestFoldBlocks:
 def test_small_graphs_skip_the_probes():
     # zeroj j = 1, m = 2 has 7 edges, below _BLOCK_MIN_EDGES: nothing folds
     inst = build_family("zeroj", None, 1, 2)
-    folded = solver._fold(inst.graph, inst.params, Toughness.zero(inst.graph.n))
+    folded = solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))[:3]
     assert solver._fold_blocks(*folded) == folded
 
 

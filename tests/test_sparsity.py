@@ -162,3 +162,16 @@ def test_violating_subset_finds_its_top_vertex_by_binary_search(max_flows):
         violating_subset(g, params)
         unforced = [outs for ins, outs in max_flows if not ins]
         assert len(unforced) <= math.ceil(math.log2(g.n)) + 1
+
+
+def test_sparsity_guarantee_takes_one_max_flow(max_flows):
+    """One cut grants or refuses the guarantee, where violating_subset goes on to find the set."""
+    refused = 0
+    for k, g in enumerate(seeded_multigraphs(seed=3, count=20, min_n=14, max_n=18)):
+        params = DefectParams(*SPARSITY_IJ[k % len(SPARSITY_IJ)])
+        expect = violating_subset(g, params) is None
+        del max_flows[:]
+        assert sparsity_guarantee(g, params) == expect
+        assert len(max_flows) == 1
+        refused += not expect
+    assert refused
