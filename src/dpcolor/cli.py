@@ -78,9 +78,12 @@ def _add_flags(sp: argparse.ArgumentParser, *names: str, lists: bool = False) ->
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
+        values = []
+    if not values:  # an empty grid would verify nothing and pass
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 @functools.cache

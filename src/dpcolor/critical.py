@@ -90,7 +90,7 @@ def is_critical(
         deg[v] == 1 and t.poor[v] <= params.i and t.rich[v] <= params.j for v in range(g.n)
     ):
         return False
-    return _scan_critical(*_core(g, _caps(params, t)))
+    return _scan_critical(*_core(g, _caps(params, t))[:3])
 
 
 @dataclass(frozen=True)

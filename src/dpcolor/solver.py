@@ -153,53 +153,30 @@ _BLOCK_MIN_EDGES = 9
 
 def _pendant_blocks(g: Multigraph) -> list[tuple[int, tuple[int, ...], int, int]]:
     """Each (size, B, u, v) with uv a bridge and B, the vertex set of u's side,
-    of 2 to _BLOCK_MAX_VERTICES vertices; from one lowpoint pass, in which a
-    parallel edge is a back edge, as the tree edge is skipped by its id."""
+    of 2 to _BLOCK_MAX_VERTICES vertices: for each edge uv and each of its
+    ends u, u's component in g - uv, grown until it holds v (uv is no bridge;
+    a parallel edge reaches v) or outgrows the bound."""
     incident = g.incidence()
-    pre = [-1] * g.n
-    low = [0] * g.n
-    size = [1] * g.n
-    order: list[int] = []
     blocks = []
-    for root in range(g.n):
-        if pre[root] >= 0:
-            continue
-        first = len(order)
-        bridges = []
-        pre[root] = low[root] = first
-        order.append(root)
-        stack = [(root, -1, iter(incident[root]))]
-        while stack:
-            v, via, it = stack[-1]
-            for u, e in it:
-                if pre[u] < 0:
-                    pre[u] = low[u] = len(order)
-                    order.append(u)
-                    stack.append((u, e, iter(incident[u])))
-                    break
-                if e != via:
-                    low[v] = min(low[v], pre[u])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    size[p] += size[v]
-                    if low[v] > pre[p]:
-                        bridges.append((p, v))
-        component = set(order[first:])
-        for p, c in bridges:
-            below = order[pre[c] : pre[c] + size[c]]
-            for u, v, side in ((c, p, below), (p, c, component.difference(below))):
-                if 2 <= len(side) <= _BLOCK_MAX_VERTICES:
-                    blocks.append((len(side), tuple(sorted(side)), u, v))
+    for e, edge in enumerate(g.edges):
+        for u, v in (edge, edge[::-1]):
+            side, stack = {u}, [u]
+            while stack and v not in side and len(side) <= _BLOCK_MAX_VERTICES:
+                for w, f in incident[stack.pop()]:
+                    if f != e and w not in side:
+                        side.add(w)
+                        stack.append(w)
+            if v not in side and 2 <= len(side) <= _BLOCK_MAX_VERTICES:
+                blocks.append((len(side), tuple(sorted(side)), u, v))
     return blocks
 
 
 def _fold_blocks(
-    h: Multigraph, caps: Caps, bases: Sequence[int]
-) -> tuple[Multigraph, list[tuple[int, int]], list[int]]:
-    """h with each pendant block B that folds replaced by a gadget edge.
+    h: Multigraph, caps: Caps, bases: Sequence[int], fixed: Sequence[int | None]
+) -> tuple[Multigraph, list[tuple[int, int]], list[int], list[int | None]]:
+    """h with each pendant block B that folds replaced by a gadget edge, and
+    fixed (parities of h's edges, None or past its end for undecided)
+    restricted to the result.
 
     B hangs off v by the bridge uv. The conflicts B can put on v, per side
     of v, come in swapped pairs, since flipping uv's parity swaps v's sides
@@ -210,13 +187,21 @@ def _fold_blocks(
     Then u keeps only uv, with caps (1, -1) if P(1, -1) is colorable (the
     cover charges a side of v one conflict) and (0, -1) if not (it forbids
     a side), so h is colorable, and critical, exactly when the result is.
-    Smallest blocks fold first, while h has _BLOCK_MIN_EDGES edges and some
-    block folds; probes are memoized.
+    That holds per cover of the rest of h, so a block folds under a prefix
+    too, as long as fixed decides none of its edges and not uv, which leaves
+    the cover free to put B's strongest charge on v: h has a bad cover
+    extending fixed exactly when the result has one extending its part of
+    fixed. Smallest blocks fold first, while h has _BLOCK_MIN_EDGES edges
+    and some block folds; probes are memoized, keyed by the block's caps.
     """
-    caps, bases = list(caps), list(bases)
+    caps, bases, fixed = list(caps), list(bases), list(fixed)
     probed: dict[tuple, tuple[int, int] | None] = {}
     while len(h.edges) >= _BLOCK_MIN_EDGES:
+        # the only edges at a vertex of B are B's own and uv
+        decided = {w for edge, bit in zip(h.edges, fixed) if bit is not None for w in edge}
         for _, block, u, v in sorted(_pendant_blocks(h)):
+            if not decided.isdisjoint(block):
+                continue
             label = {v: 0, u: 1}
             for w in block:
                 label.setdefault(w, len(label))
@@ -231,11 +216,13 @@ def _fold_blocks(
         else:
             break
         caps[u] = probed[key]
-        h, keep = h.induced_subgraph(w for w in range(h.n) if w == u or w not in block)
+        gone = set(block) - {u}
+        fixed = [bit for bit, edge in zip(fixed, h.edges) if gone.isdisjoint(edge)]
+        h, keep = h.induced_subgraph(w for w in range(h.n) if w not in gone)
         index = {w: k for k, w in enumerate(keep)}
         caps = [caps[w] for w in keep]
         bases = [index[b] for b in bases if b not in block]
-    return h, caps, bases
+    return h, caps, bases, fixed
 
 
 def _gadget(p: Multigraph, block_caps: Caps, bases: Sequence[int]) -> tuple[int, int] | None:
@@ -273,13 +260,20 @@ def _degree_first(g: Multigraph) -> tuple[Multigraph, list[int]]:
     return Multigraph(g.n, tuple([g.edges[e] for e in order])), position
 
 
-def _core(g: Multigraph, caps: Caps) -> tuple[Multigraph, list[tuple[int, int]], list[int]]:
-    """What the verdict scans: g without its flags (_fold) and its pendant
-    blocks (_fold_blocks), with its edges in degree-first order
-    (_degree_first); its caps; and the bases of its flags."""
-    h, h_caps, bases, _ = _fold(g, caps)
-    h, h_caps, bases = _fold_blocks(h, h_caps, bases)
-    return _degree_first(h)[0], h_caps, bases
+def _core(
+    g: Multigraph, caps: Caps, fixed: Sequence[int | None] = ()
+) -> tuple[Multigraph, list[tuple[int, int]], list[int], list[int | None]]:
+    """The one reduction pipeline: g without its flags (_fold) and its pendant
+    blocks (_fold_blocks) under the parity prefix fixed, with its edges in
+    degree-first order (_degree_first); its caps; the bases of its flags; and
+    fixed moved to its edge ids. g has a bad cover extending fixed exactly
+    when the core has one extending the moved fixed."""
+    h, h_caps, bases, h_fixed = _fold_blocks(*_fold(g, caps, fixed))
+    h, position = _degree_first(h)
+    moved: list[int | None] = [None] * len(position)
+    for k, bit in zip(position, h_fixed):
+        moved[k] = bit
+    return h, h_caps, bases, moved
 
 
 def exhaustive_color(
@@ -361,46 +355,34 @@ def is_colorable(
 
     Returns (True, None), or (False, w) where w is the lexicographically
     first cover with no coloring: edge 0 most significant, E < O.
-    max_covers bounds G's raw 2^|E|. The verdict comes from one scan of g's
-    core (_core); only an uncolorable g is scanned again, for the witness
-    (_first_bad_cover).
+    max_covers bounds G's raw 2^|E|.
+
+    Every question goes through g's core (_core): whether g has a bad cover
+    extending a parity prefix is whether the core has one extending the
+    prefix's image. The verdict is the empty prefix. For the witness, g's
+    edges are then fixed one at a time in g's order, E kept while a bad
+    cover extends the prefix. When fixing E leaves the core, its caps and its
+    fixed parities as they were, as at a flag's first edge, the question was
+    already answered yes and takes no scan. Flags fold under every prefix,
+    and blocks only where the prefix leaves them free, so when nothing folds
+    under the empty prefix, the core under every prefix is g itself, and
+    the witness is the first cover of one lex scan of g.
     """
     caps = _caps(params, _scan_checked(g, params, t, max_covers))
-    h, h_caps, _ = _core(g, caps)
+    h, h_caps, _, _ = core = _core(g, caps)
     if next(_kernel(h, h_caps)[0], None) is None:
         return True, None
-    return False, Cover(_first_bad_cover(g, caps))
-
-
-def _first_bad_cover(g: Multigraph, caps: Caps) -> tuple[int, ...]:
-    """The lex-first bad cover of g, which must have one.
-
-    With no flag folded, it is the first cover of one lex scan of g.
-    Otherwise g's edges are fixed one at a time in g's order, E kept while g
-    still has a bad cover under the prefix. Each question is whether H, g
-    folded under the prefix (_fold), has a bad cover extending H's part of
-    it, asked of H in degree-first order. When fixing E leaves H's caps and
-    parities as they were, as at a flag's first edge, the question was
-    already answered yes and takes no scan.
-    """
-    h, h_caps, bases, h_fixed = _fold(g, caps)
-    if not bases:
-        return next(_kernel(g, caps)[0])
-    scan_h, position = _degree_first(h)
+    if h.n == g.n:
+        return False, Cover(next(_kernel(g, caps)[0]))
     bits: list[int] = []
     for _ in g.edges:
-        known = (h_caps, h_fixed)  # has a bad cover
+        known = core  # has a bad cover
         bits.append(0)
-        _, h_caps, _, h_fixed = _fold(g, caps, bits)
-        if (h_caps, h_fixed) == known:
-            continue
-        fixed: list[int | None] = [None] * len(position)
-        for k, bit in zip(position, h_fixed):
-            fixed[k] = bit
-        if next(_kernel(scan_h, h_caps, fixed=fixed)[0], None) is None:
+        h, h_caps, _, h_fixed = core = _core(g, caps, bits)
+        if core != known and next(_kernel(h, h_caps, fixed=h_fixed)[0], None) is None:
             bits[-1] = 1
-            _, h_caps, _, h_fixed = _fold(g, caps, bits)
-    return tuple(bits)
+            core = _core(g, caps, bits)
+    return False, Cover(tuple(bits))
 
 
 def _kernel(

@@ -218,6 +218,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--family", "zeroj", "--j", "1")
         assert code == 2 and "--m" in err
 
+    @pytest.mark.parametrize("m", ["", ","])
+    def test_a_grid_with_no_integer_is_refused(self, capsys, m):
+        # it would verify no row and pass
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "equal", "--i", "1", "--m", m])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument --m: expected comma-separated integers, got {m!r}" in err
+
 
 def test_successive_calls_share_no_state(capsys, tmp_path):
     # the parser is built once per process, so every call after the first

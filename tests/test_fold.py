@@ -1,13 +1,17 @@
 """Folding flags into caps and pendant blocks into gadgets: solver._fold,
-solver._fold_blocks and the verdicts that go through them.
+solver._fold_blocks, the pipeline solver._core and the answers that go
+through it.
 
 solver._fold is the one statement of the flag rule, for the verdict, the
 witness's prefix scans and exhaustive_color's single cover alike. The
 tests pin its output, its min-cap condition and its prefix form against
-the oracles. is_colorable and is_critical decide G from its core H, G
-without its flags and with each pendant block that folds replaced by one
-gadget edge, so each is checked against the oracles on graphs that carry
-flags or pendant blocks, with toughness, on both scan kernels.
+the oracles. solver._pendant_blocks is checked against the definition of a
+pendant block, and a block folds under a prefix only while the prefix
+leaves it free. is_colorable, verdict and witness alike, and is_critical
+decide G from its core H, G without its flags and with each pendant block
+that folds replaced by one gadget edge, so each is checked against the
+oracles on graphs that carry flags or pendant blocks, with toughness, on
+both scan kernels.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from conftest import (
     flagged_multigraphs,
     hang,
     pendant_block_graphs,
+    seeded_multigraphs,
     toughness_for,
 )
 from dpcolor import (
@@ -197,6 +202,29 @@ class TestFoldBlocks:
         g = Multigraph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3)])
         assert solver._pendant_blocks(g) == []
 
+    def test_pendant_blocks_match_their_definition(self):
+        # per edge e and end u: u's component in g - e, if it has 2 to 4
+        # vertices and not e's other end; parallel edges and disconnected
+        # graphs included
+        def component(g, u):
+            side, grew = {u}, True
+            while grew:
+                grew = False
+                for a, b in g.edges:
+                    if (a in side) != (b in side):
+                        side |= {a, b}
+                        grew = True
+            return side
+
+        for g in [*every_small_multigraph(), *seeded_multigraphs(17, 1000, 2, 14)]:
+            expect = []
+            for e, edge in enumerate(g.edges):
+                for u, v in (edge, edge[::-1]):
+                    side = component(g.delete_edge(e), u)
+                    if v not in side and 2 <= len(side) <= solver._BLOCK_MAX_VERTICES:
+                        expect.append((len(side), tuple(sorted(side)), u, v))
+            assert sorted(solver._pendant_blocks(g)) == sorted(expect)
+
     @pytest.mark.parametrize("j, gadget", [(1, (0, -1)), (2, (1, -1)), (3, (1, -1)), (4, (1, -1))])
     def test_the_zeroj_triangle_probes(self, j, gadget):
         # v = 0, the bridge end u = 1, the triangle's other two vertices 2 and
@@ -213,8 +241,8 @@ class TestFoldBlocks:
     @pytest.mark.parametrize("j, m", [(2, 2), (3, 2), (2, 4), (3, 5), (4, 4), (2, 8)])
     def test_zeroj_folds_to_its_cycle_and_one_gadget_per_triangle(self, j, m):
         inst = build_family("zeroj", None, j, m)
-        h, caps, bases = solver._fold_blocks(
-            *solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))[:3]
+        h, caps, bases, _ = solver._fold_blocks(
+            *solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))
         )
         cycle = [(v, v + 1) for v in range(m)] + [(m, 0)]
         assert h == Multigraph(m + 1 + j, cycle + [(m + 1 + k, 0) for k in range(j)])
@@ -224,8 +252,8 @@ class TestFoldBlocks:
         # zeroj j = 1: the triangle forbids one side of v0, and then the
         # 4-cycle itself hangs from that gadget and folds in turn
         inst = build_family("zeroj", None, 1, 3)
-        h, caps, _ = solver._fold_blocks(
-            *solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))[:3]
+        h, caps, _, _ = solver._fold_blocks(
+            *solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))
         )
         assert (h, caps) == (Multigraph(2, [(1, 0)]), [(0, -1), (0, -1)])
 
@@ -233,7 +261,7 @@ class TestFoldBlocks:
 def test_small_graphs_skip_the_probes():
     # zeroj j = 1, m = 2 has 7 edges, below _BLOCK_MIN_EDGES: nothing folds
     inst = build_family("zeroj", None, 1, 2)
-    folded = solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))[:3]
+    folded = solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))
     assert solver._fold_blocks(*folded) == folded
 
 
@@ -257,3 +285,39 @@ def test_small_cores_with_a_pendant_block_match_oracles(kernel):
 def test_pendant_block_graphs_match_oracles(kernel, g, params, data):
     t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
     assert_matches_oracles(g, params, t)
+
+
+@pytest.mark.usefixtures("fold_small")
+@settings(KERNEL_SETTINGS, max_examples=150)
+@given(pendant_block_graphs(), st.sampled_from(BLOCK_CELLS), st.data())
+def test_a_prefix_folds_only_the_blocks_it_leaves_free(kernel, g, cell, data):
+    # g has a bad cover extending a partial cover exactly when its core
+    # under that partial cover has one extending the core's part of it; asked
+    # of each prefix of one partial cover, as the witness asks, in the cells
+    # where blocks fold
+    params = DefectParams(*cell)
+    t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
+    fixed = data.draw(st.lists(st.sampled_from((None, 0, 1)), max_size=len(g.edges)))
+    every = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
+    for k in range(len(fixed) + 1):
+        h, caps, _, h_fixed = solver._core(g, solver._caps(params, t), fixed[:k])
+        expect = any(all(f is None or f == b for f, b in zip(fixed[:k], bits)) for bits in every)
+        assert (next(solver._kernel(h, caps, fixed=h_fixed)[0], None) is not None) == expect
+
+
+def test_the_witness_scans_the_folded_blocks(monkeypatch):
+    # zeroj j = 4, m = 4 has 17 vertices and no flag; its witness comes from
+    # the cores with the triangles the prefix leaves free folded, not from a
+    # cover-by-cover scan of G (about a million _Search runs)
+    runs = []
+    run = solver._Search.run
+
+    def counted(self, bits):
+        runs.append(bits)
+        return run(self, bits)
+
+    monkeypatch.setattr(solver._Search, "run", counted)
+    inst = build_family("zeroj", None, 4, 4)
+    ok, witness = is_colorable(inst.graph, inst.params)
+    assert (ok, witness.letters()) == (False, "EOOOOEOOEEOOEEOOEEOOE")
+    assert len(runs) < 1000
