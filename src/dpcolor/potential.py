@@ -143,94 +143,115 @@ class _MinCut:
 
     2 val(S) is the sum over v in S of 2 weights[v] - coeff deg(v), plus coeff times the number of
     edge instances leaving S, so it is an s-t cut on n + 2 nodes with S on the source side (Picard
-    1976): a vertex pays a positive unary term on an arc to t and the negation of a negative one on
-    an arc from s (their sum is added back), and each bundle of parallel edges is one arc of
-    capacity coeff * multiplicity each way. A forced vertex gets an arc from s (in) or to t (out)
-    heavier than all the others together, so no minimum cut leaves it on the wrong side. Each call
-    is one Dinic max-flow in exact ints. The least minimizer is what s reaches in the final
-    residual network, the greatest what cannot reach t (Picard and Queyranne 1980).
+    1976): v pays a positive unary term on arc v -> t (arc 2(n + v)) and a negative one negated
+    on arc s -> v (arc 2v; their sum is added back), and a bundle of parallel edges is one arc of
+    capacity coeff * multiplicity each way. Arc a's reverse is a ^ 1. Forcing v in (out) adds more
+    than all capacities to its s (t) arc. Each call is one Dinic max-flow in exact ints, from zero
+    or from a residual that forced less: forcing only adds capacity. Any maximum flow's residual
+    gives the least minimizer, what s reaches, and the greatest, what cannot reach t (Picard and
+    Queyranne 1980).
     """
 
     def __init__(self, g: Multigraph, weights: list[int], coeff: int) -> None:
         n = g.n
         self.s, self.t = n, n + 1
-        self.cap = [[0] * (n + 2) for _ in range(n + 2)]
         deg = [0] * n
+        bundles: dict[tuple[int, int], int] = {}
         for u, w in g.edges:
-            self.cap[u][w] += coeff
-            self.cap[w][u] += coeff
             deg[u] += 1
             deg[w] += 1
-        self.offset = 0
+            bundle = (u, w) if u < w else (w, u)
+            bundles[bundle] = bundles.get(bundle, 0) + coeff
+        unary = [2 * weights[v] - coeff * deg[v] for v in range(n)]
+        self.offset = sum(x for x in unary if x < 0)
+        head, cap = [], []
         for v in range(n):
-            unary = 2 * weights[v] - coeff * deg[v]
-            if unary >= 0:
-                self.cap[v][self.t] = unary
-            else:
-                self.cap[self.s][v] = -unary
-                self.offset += unary
-        self.heavy = 1 + sum(map(sum, self.cap))
-        self.adj = [[w for w in range(n) if self.cap[v][w]] + [self.s, self.t] for v in range(n)]
-        self.adj += [list(range(n)), list(range(n))]
+            head += [v, n]
+            cap += [max(-unary[v], 0), 0]
+        for v in range(n):
+            head += [n + 1, v]
+            cap += [max(unary[v], 0), 0]
+        adj = [[2 * (n + v)] for v in range(n)]  # no walk takes an arc back into s
+        adj += [list(range(0, 2 * n, 2)), list(range(2 * n + 1, 4 * n, 2))]
+        for (u, w), c in bundles.items():
+            adj[u].append(len(head))
+            adj[w].append(len(head) + 1)
+            head += [w, u]
+            cap += [c, c]
+        self.head, self.cap, self.adj = head, cap, adj
+        self.heavy = 1 + sum(cap)
 
-    def minimum(self, ins: Iterable[int], outs: Iterable[int]) -> tuple[int, list[int], list[int]]:
-        """The minimum value, with the least and the greatest minimizer as sorted lists."""
-        cap = [row[:] for row in self.cap]
-        s, t, adj = self.s, self.t, self.adj
+    def minimum(
+        self, ins: Iterable[int], outs: Iterable[int], warm: tuple | None = None
+    ) -> tuple[int, list[int], list[int], tuple]:
+        """The minimum value, the least and the greatest minimizer as sorted lists, and the
+        residual, a warm start for calls that force more."""
+        ins, outs = frozenset(ins), frozenset(outs)
+        was_in, was_out, cap, flow = warm or (frozenset(), frozenset(), self.cap, 0)
+        if not (was_in <= ins and was_out <= outs):
+            raise ValueError("a warm start must force a subset of the vertices forced now")
+        cap = cap[:]
+        s, t, head, adj = self.s, self.t, self.head, self.adj
         n = s
-        for v in ins:
-            cap[s][v] += self.heavy
-        for v in outs:
-            cap[v][t] += self.heavy
-        flow = 0
+        for v in ins - was_in:
+            cap[2 * v] += self.heavy
+        for v in outs - was_out:
+            cap[2 * (n + v)] += self.heavy
         while True:
-            level = [-1] * len(cap)
+            level = [-1] * (n + 2)
             level[s] = 0
             queue = [s]
             for u in queue:
-                for w in adj[u]:
-                    if level[w] < 0 and cap[u][w]:
-                        level[w] = level[u] + 1
-                        queue.append(w)
+                if level[t] >= 0:
+                    break
+                for a in adj[u]:
+                    if cap[a] and level[head[a]] < 0:
+                        level[head[a]] = level[u] + 1
+                        queue.append(head[a])
             if level[t] < 0:
                 break
-            # blocking flow: walk the level graph depth first on an explicit
-            # stack, where tried[u] is the next arc of u still worth trying
-            tried = [0] * len(cap)
-            path = [s]
-            while path:
-                u = path[-1]
+            # blocking flow: walk the level graph depth first on an explicit stack of arcs, where
+            # tried[u] is the next arc of u still worth trying; a dead end's level becomes -1
+            tried = [0] * (n + 2)
+            path: list[int] = []
+            u = s
+            while True:
                 if u == t:
-                    arcs = list(zip(path, path[1:]))
-                    got = min(cap[a][b] for a, b in arcs)
-                    for a, b in arcs:
-                        cap[a][b] -= got
-                        cap[b][a] += got
+                    got = min([cap[a] for a in path])
+                    for a in path:
+                        cap[a] -= got
+                        cap[a ^ 1] += got
                     flow += got
                     # resume from the tail of the first arc the path saturated
-                    del path[next(k for k, (a, b) in enumerate(arcs) if not cap[a][b]) + 1 :]
+                    del path[next(k for k, a in enumerate(path) if not cap[a]) :]
+                    u = head[path[-1]] if path else s
                     continue
-                while tried[u] < len(adj[u]):
-                    w = adj[u][tried[u]]
-                    if cap[u][w] and level[w] == level[u] + 1:
-                        path.append(w)
+                out = adj[u]
+                while tried[u] < len(out):
+                    a = out[tried[u]]
+                    if cap[a] and level[head[a]] == level[u] + 1:
+                        path.append(a)
+                        u = head[a]
                         break
                     tried[u] += 1
                 else:
-                    path.pop()
-                    if path:
-                        tried[path[-1]] += 1
+                    level[u] = -1
+                    if not path:
+                        break
+                    u = head[path.pop() ^ 1]
+                    tried[u] += 1
         # level marks what s reaches; now mark what reaches t, backwards along residual arcs
-        sink = [False] * len(cap)
+        sink = [False] * (n + 2)
         sink[t] = True
         queue = [t]
         for w in queue:
-            for u in adj[w]:
-                if not sink[u] and cap[u][w]:
-                    sink[u] = True
-                    queue.append(u)
+            for a in adj[w]:
+                if not sink[head[a]] and cap[a ^ 1]:
+                    sink[head[a]] = True
+                    queue.append(head[a])
         least = [v for v in range(n) if level[v] >= 0]
-        return (flow + self.offset) // 2, least, [v for v in range(n) if not sink[v]]
+        greatest = [v for v in range(n) if not sink[v]]
+        return (flow + self.offset) // 2, least, greatest, (ins, outs, cap, flow)
 
 
 def rho_graph(
@@ -249,9 +270,10 @@ def rho_graph(
     lexicographically smallest subset as a sorted id tuple: the shortest
     prefix of the greatest minimizer that reaches the minimum, as a vertex
     lies in some minimizer exactly when it lies in the greatest. If only the
-    empty set is one, n more cuts force the least vertex first. The empty set
-    is excluded: its potential is always 0 and would clamp every threshold
-    comparison. Graphs above max_vertices (192 by default) are refused.
+    empty set is one, n more cuts, warm-started from the first, force the
+    least vertex first. The empty set is excluded: its potential is always 0
+    and would clamp every threshold comparison. Graphs above max_vertices
+    (192 by default) are refused.
     """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
@@ -264,13 +286,15 @@ def rho_graph(
     _, coeff, _ = _potential_row(params)
     weights = [rho_vertex(params, t, v) for v in range(g.n)]
     cut = _MinCut(g, weights, coeff)
-    best, _, top = cut.minimum((), ())
+    best, _, top, unforced = cut.minimum((), ())
     if not top:
-        forced = (cut.minimum([v], range(v)) for v in range(g.n))
-        best, _, top = min(forced, key=lambda found: found[0])
+        forced = (cut.minimum([v], range(v), unforced) for v in range(g.n))
+        best, _, top, _ = min(forced, key=lambda found: found[0])
+    incident, inside = g.incidence(), [False] * g.n
     kept, value = [], 0
     for u in top:
-        value += weights[u] - sum(cut.cap[u][w] for w in kept)
+        value += weights[u] - coeff * sum([inside[w] for w, _ in incident[u]])
+        inside[u] = True
         kept.append(u)
         if value == best:
             break

@@ -172,7 +172,11 @@ def _pendant_blocks(g: Multigraph) -> list[tuple[int, tuple[int, ...], int, int]
 
 
 def _fold_blocks(
-    h: Multigraph, caps: Caps, bases: Sequence[int], fixed: Sequence[int | None]
+    h: Multigraph,
+    caps: Caps,
+    bases: Sequence[int],
+    fixed: Sequence[int | None],
+    probed: dict | None = None,
 ) -> tuple[Multigraph, list[tuple[int, int]], list[int], list[int | None]]:
     """h with each pendant block B that folds replaced by a gadget edge, and
     fixed (parities of h's edges, None or past its end for undecided)
@@ -192,10 +196,11 @@ def _fold_blocks(
     the cover free to put B's strongest charge on v: h has a bad cover
     extending fixed exactly when the result has one extending its part of
     fixed. Smallest blocks fold first, while h has _BLOCK_MIN_EDGES edges
-    and some block folds; probes are memoized, keyed by the block's caps.
+    and some block folds; probes are memoized in probed, keyed by the
+    block's edges, caps and bases.
     """
     caps, bases, fixed = list(caps), list(bases), list(fixed)
-    probed: dict[tuple, tuple[int, int] | None] = {}
+    probed = {} if probed is None else probed
     while len(h.edges) >= _BLOCK_MIN_EDGES:
         # the only edges at a vertex of B are B's own and uv
         decided = {w for edge, bit in zip(h.edges, fixed) if bit is not None for w in edge}
@@ -261,14 +266,14 @@ def _degree_first(g: Multigraph) -> tuple[Multigraph, list[int]]:
 
 
 def _core(
-    g: Multigraph, caps: Caps, fixed: Sequence[int | None] = ()
+    g: Multigraph, caps: Caps, fixed: Sequence[int | None] = (), probed: dict | None = None
 ) -> tuple[Multigraph, list[tuple[int, int]], list[int], list[int | None]]:
     """The one reduction pipeline: g without its flags (_fold) and its pendant
     blocks (_fold_blocks) under the parity prefix fixed, with its edges in
     degree-first order (_degree_first); its caps; the bases of its flags; and
     fixed moved to its edge ids. g has a bad cover extending fixed exactly
     when the core has one extending the moved fixed."""
-    h, h_caps, bases, h_fixed = _fold_blocks(*_fold(g, caps, fixed))
+    h, h_caps, bases, h_fixed = _fold_blocks(*_fold(g, caps, fixed), probed)
     h, position = _degree_first(h)
     moved: list[int | None] = [None] * len(position)
     for k, bit in zip(position, h_fixed):
@@ -366,10 +371,12 @@ def is_colorable(
     already answered yes and takes no scan. Flags fold under every prefix,
     and blocks only where the prefix leaves them free, so when nothing folds
     under the empty prefix, the core under every prefix is g itself, and
-    the witness is the first cover of one lex scan of g.
+    the witness is the first cover of one lex scan of g. Every _core call
+    shares one probe memo.
     """
     caps = _caps(params, _scan_checked(g, params, t, max_covers))
-    h, h_caps, _, _ = core = _core(g, caps)
+    probed: dict = {}
+    h, h_caps, _, _ = core = _core(g, caps, (), probed)
     if next(_kernel(h, h_caps)[0], None) is None:
         return True, None
     if h.n == g.n:
@@ -378,10 +385,10 @@ def is_colorable(
     for _ in g.edges:
         known = core  # has a bad cover
         bits.append(0)
-        h, h_caps, _, h_fixed = core = _core(g, caps, bits)
+        h, h_caps, _, h_fixed = core = _core(g, caps, bits, probed)
         if core != known and next(_kernel(h, h_caps, fixed=h_fixed)[0], None) is None:
             bits[-1] = 1
-            core = _core(g, caps, bits)
+            core = _core(g, caps, bits, probed)
     return False, Cover(tuple(bits))
 
 

@@ -36,17 +36,23 @@ def _violations(
     such set that one ``potential._MinCut`` finds, or None.
 
     As c <= 1, S breaks it exactly when (n + 1)(a|S| - b|E(S)|) - |S| < (n + 1)(c - 1), which
-    the empty set never does. Graphs above max_vertices are refused.
+    the empty set never does. A cut starts from the last violating one, so it must force more.
+    Graphs above max_vertices are refused.
     """
     if g.n > max_vertices:
         raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
     a, b, c = _inequality(params)
     n = g.n
     cut = _MinCut(g, [(n + 1) * a - 1] * n, (n + 1) * b)
+    accepted = None
 
     def violated(ins: list[int], outs: list[int] | range) -> set[int] | None:
-        value, least, _ = cut.minimum(ins, outs)
-        return set(least) if value < (n + 1) * (c - 1) else None
+        nonlocal accepted
+        value, least, _, residual = cut.minimum(ins, outs, accepted)
+        if value < (n + 1) * (c - 1):
+            accepted = residual
+            return set(least)
+        return None
 
     return violated
 
@@ -59,8 +65,9 @@ def violating_subset(
     Each question, whether a violating set holds these vertices and avoids those, is one cut
     (_violations). The top vertex, the least v with a violating set inside 0..v, is found by
     binary search; walking down, a vertex is dropped whenever a violating set survives without
-    it, with no cut if the last violating cut's least minimizer avoids it. Graphs above
-    max_vertices (192 by default) are refused.
+    it, with no cut if the last violating cut's least minimizer avoids it. Every cut forces
+    more than the last violating one, so it starts warm. Graphs above max_vertices (192 by
+    default) are refused.
     """
     violated = _violations(g, params, max_vertices)
     n = g.n

@@ -156,13 +156,14 @@ def kernel(request, monkeypatch):
 
 @pytest.fixture
 def max_flows(monkeypatch):
-    """A list that gains one entry per ``_MinCut`` max-flow run during the test."""
+    """A list that gains one entry per ``_MinCut`` max-flow run during the test:
+    its forced-in and forced-out vertices, and whether it started from a saved residual."""
     runs: list[tuple] = []
     minimum = potential._MinCut.minimum
 
-    def counted(self, ins, outs):
-        runs.append((list(ins), list(outs)))
-        return minimum(self, ins, outs)
+    def counted(self, ins, outs, warm=None):
+        runs.append((list(ins), list(outs), warm is not None))
+        return minimum(self, ins, outs, warm)
 
     monkeypatch.setattr(potential._MinCut, "minimum", counted)
     return runs

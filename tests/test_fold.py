@@ -321,3 +321,21 @@ def test_the_witness_scans_the_folded_blocks(monkeypatch):
     ok, witness = is_colorable(inst.graph, inst.params)
     assert (ok, witness.letters()) == (False, "EOOOOEOOEEOOEEOOEEOOE")
     assert len(runs) < 1000
+
+
+def test_the_witness_probes_each_block_once(monkeypatch):
+    # every _core call of one is_colorable shares one probe memo, so the
+    # four triangles of zeroj j = 4, m = 4, all alike, take one _gadget
+    # probe, not one per witness step (28)
+    probes = []
+    gadget = solver._gadget
+
+    def counted(p, block_caps, bases):
+        probes.append(p.edges)
+        return gadget(p, block_caps, bases)
+
+    monkeypatch.setattr(solver, "_gadget", counted)
+    inst = build_family("zeroj", None, 4, 4)
+    ok, witness = is_colorable(inst.graph, inst.params)
+    assert (ok, witness.letters()) == (False, "EOOOOEOOEEOOEEOOEEOOE")
+    assert len(probes) == 1

@@ -369,24 +369,55 @@ def _cut_values(g: Multigraph, weights: list[int], coeff: int) -> dict[frozenset
     return values
 
 
+def _forced_minimum(values: dict[frozenset[int], int], ins: set[int], outs: set[int]) -> tuple:
+    """The least value over the sets holding ins and avoiding outs, with the least and the
+    greatest of the sets that reach it, as sorted lists."""
+    feasible = {s: v for s, v in values.items() if ins <= s and not outs & s}
+    best = min(feasible.values())
+    minimizers = [s for s, v in feasible.items() if v == best]
+    return best, sorted(frozenset.intersection(*minimizers)), sorted(frozenset.union(*minimizers))
+
+
 @given(multigraphs(max_n=6, max_edges=9), st.data())
 def test_min_cut_returns_the_least_and_greatest_minimizer(g, data):
     weights = data.draw(st.lists(st.integers(-3, 3), min_size=g.n, max_size=g.n))
     coeff = data.draw(st.integers(1, 3))
     ins = data.draw(st.sets(st.sampled_from(range(g.n)))) if g.n else set()
     outs = data.draw(st.sets(st.sampled_from(range(g.n)))) - ins if g.n else set()
-    feasible = {
-        s: v for s, v in _cut_values(g, weights, coeff).items() if ins <= s and not outs & s
-    }
-    best = min(feasible.values())
-    minimizers = [s for s, v in feasible.items() if v == best]
-    least = frozenset.intersection(*minimizers)
-    greatest = frozenset.union(*minimizers)
-    assert _MinCut(g, weights, coeff).minimum(sorted(ins), sorted(outs)) == (
-        best,
-        sorted(least),
-        sorted(greatest),
+    assert _MinCut(g, weights, coeff).minimum(sorted(ins), sorted(outs))[:3] == _forced_minimum(
+        _cut_values(g, weights, coeff), ins, outs
     )
+
+
+@given(multigraphs(max_n=6, max_edges=9), st.data())
+def test_warm_started_cuts_match_cold_cuts_and_brute_force(g, data):
+    """A chain of cuts, each forcing what the last one forced and more, each started from the
+    last one's residual: every answer equals a cut from zero flow and the definition."""
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=g.n, max_size=g.n))
+    coeff = data.draw(st.integers(1, 3))
+    values = _cut_values(g, weights, coeff)
+    cut = _MinCut(g, weights, coeff)
+    ins: set[int] = set()
+    outs: set[int] = set()
+    residual = None
+
+    def more(forced: set[int], other: set[int]) -> set[int]:
+        free = sorted(set(range(g.n)) - other)
+        return forced | (data.draw(st.sets(st.sampled_from(free))) if free else set())
+
+    for _ in range(data.draw(st.integers(1, 4))):
+        ins = more(ins, outs)
+        outs = more(outs, ins)
+        *warm, residual = cut.minimum(sorted(ins), sorted(outs), residual)
+        assert tuple(warm) == cut.minimum(sorted(ins), sorted(outs))[:3]
+        assert tuple(warm) == _forced_minimum(values, ins, outs)
+
+
+def test_a_warm_start_must_force_a_subset():
+    cut = _MinCut(Multigraph(3, [(0, 1), (1, 2)]), [1, -1, 1], 1)
+    residual = cut.minimum([0], [])[3]
+    with pytest.raises(ValueError, match="warm start"):
+        cut.minimum([], [2], residual)
 
 
 @pytest.mark.parametrize("inst", POTENTIAL_FAMILIES, ids=lambda inst: f"{inst.family}-{inst.i}-{inst.j}-{inst.m}")
@@ -419,3 +450,5 @@ def test_rho_graph_falls_back_to_forced_cuts_when_every_set_is_positive(max_flow
         assert value > 0
         assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t), g
         assert len(max_flows) == 1 + g.n
+        # every forced cut starts from the unforced cut's residual
+        assert [warm for _, _, warm in max_flows] == [False] + [True] * g.n

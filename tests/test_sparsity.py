@@ -160,8 +160,16 @@ def test_violating_subset_finds_its_top_vertex_by_binary_search(max_flows):
         params = DefectParams(*SPARSITY_IJ[k % len(SPARSITY_IJ)])
         del max_flows[:]
         violating_subset(g, params)
-        unforced = [outs for ins, outs in max_flows if not ins]
+        unforced = [outs for ins, outs, _ in max_flows if not ins]
         assert len(unforced) <= math.ceil(math.log2(g.n)) + 1
+
+
+def test_violating_subset_warm_starts_every_cut_after_the_first(max_flows):
+    """gen --family large --i 1 --j 3 --m 1: the first cut starts from zero flow, and each of
+    the six probes after it from the residual of the last cut that found a violation."""
+    inst = build_large(1, 3, 1)
+    assert sorted(violating_subset(inst.graph, inst.params)) == [2, 3, 4, 5]
+    assert [warm for _, _, warm in max_flows] == [False] + [True] * 6
 
 
 def test_sparsity_guarantee_takes_one_max_flow(max_flows):
