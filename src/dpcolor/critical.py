@@ -148,15 +148,12 @@ def fdp_search(
 
     Enumerates every edge multiset over the unordered vertex pairs, starting
     at the regime lower bound (nothing below it can be critical) and giving
-    up above max_edges, and decides each isomorphism class once. The degrees
-    of each multiset come first: one with an isolated vertex is skipped, as
-    is_critical rejects it before any check; one with a degree-1 vertex is
-    skipped after the budget check is_critical would make, since under zero
-    toughness its degree-1 rule always applies. That check depends on the
-    edge count alone, so it is made once per level, at the first multiset
-    with no isolated vertex, where is_critical would first make it. Any
-    other multiset runs is_critical only if its canonical key
-    (_canonical_key) is new; a class seen before was not critical, or the
+    up above max_edges, and decides each isomorphism class once. is_critical's
+    budget check depends on the edge count alone, so it is made once at the
+    top of each level that has a multiset with no isolated vertex (2e >= n > 1).
+    A multiset with a vertex of degree below 2 is skipped: is_critical rejects
+    it under zero toughness. Any other runs is_critical only if its canonical
+    key (_canonical_key) is new; a class seen before was not critical, or the
     search would have stopped there.
     is_critical ignores vertex labels and edge order under zero toughness, so
     every multiset still gets its own verdict in enumeration order: the
@@ -172,18 +169,14 @@ def fdp_search(
     t = Toughness.zero(n)
     not_critical: set[tuple[tuple[int, int], ...]] = set()
     for e in range(floor, max_edges + 1):
-        budget_checked = False
+        if 2 * e >= n > 1:
+            _parity_vectors(e, max_covers)  # is_critical's budget check, same message
         for combo in combinations_with_replacement(pairs, e):
             deg = [0] * n
             for u, v in combo:
                 deg[u] += 1
                 deg[v] += 1
-            if 0 in deg:
-                continue
-            if not budget_checked:
-                _parity_vectors(e, max_covers)  # is_critical's budget check, same message
-                budget_checked = True
-            if 1 in deg:
+            if 0 in deg or 1 in deg:
                 continue
             key = _canonical_key(combo, deg)
             if key in not_critical:

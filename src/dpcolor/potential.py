@@ -149,7 +149,7 @@ class _MinCut:
     than all capacities to its s (t) arc. Each call is one Dinic max-flow in exact ints, from zero
     or from a residual that forced less: forcing only adds capacity. Any maximum flow's residual
     gives the least minimizer, what s reaches, and the greatest, what cannot reach t (Picard and
-    Queyranne 1980).
+    Queyranne 1980); only a caller that reads the greatest pays for its backward pass.
     """
 
     def __init__(self, g: Multigraph, weights: list[int], coeff: int) -> None:
@@ -183,9 +183,9 @@ class _MinCut:
 
     def minimum(
         self, ins: Iterable[int], outs: Iterable[int], warm: tuple | None = None
-    ) -> tuple[int, list[int], list[int], tuple]:
-        """The minimum value, the least and the greatest minimizer as sorted lists, and the
-        residual, a warm start for calls that force more."""
+    ) -> tuple[int, list[int], tuple]:
+        """The minimum value, the least minimizer as a sorted list, and the residual, a warm
+        start for calls that force more and the input of greatest."""
         ins, outs = frozenset(ins), frozenset(outs)
         was_in, was_out, cap, flow = warm or (frozenset(), frozenset(), self.cap, 0)
         if not (was_in <= ins and was_out <= outs):
@@ -240,8 +240,15 @@ class _MinCut:
                         break
                     u = head[path.pop() ^ 1]
                     tried[u] += 1
-        # level marks what s reaches; now mark what reaches t, backwards along residual arcs
-        sink = [False] * (n + 2)
+        # level marks what s reaches
+        least = [v for v in range(n) if level[v] >= 0]
+        return (flow + self.offset) // 2, least, (ins, outs, cap, flow)
+
+    def greatest(self, residual: tuple) -> list[int]:
+        """The greatest minimizer of the cut that left residual, as a sorted list: the vertices
+        that cannot reach t, marked backwards along residual arcs."""
+        cap, head, adj, t = residual[2], self.head, self.adj, self.t
+        sink = [False] * (t + 1)
         sink[t] = True
         queue = [t]
         for w in queue:
@@ -249,9 +256,7 @@ class _MinCut:
                 if not sink[head[a]] and cap[a ^ 1]:
                     sink[head[a]] = True
                     queue.append(head[a])
-        least = [v for v in range(n) if level[v] >= 0]
-        greatest = [v for v in range(n) if not sink[v]]
-        return (flow + self.offset) // 2, least, greatest, (ins, outs, cap, flow)
+        return [v for v in range(self.s) if not sink[v]]
 
 
 def rho_graph(
@@ -286,10 +291,12 @@ def rho_graph(
     _, coeff, _ = _potential_row(params)
     weights = [rho_vertex(params, t, v) for v in range(g.n)]
     cut = _MinCut(g, weights, coeff)
-    best, _, top, unforced = cut.minimum((), ())
+    best, _, residual = cut.minimum((), ())
+    top = cut.greatest(residual)
     if not top:
-        forced = (cut.minimum([v], range(v), unforced) for v in range(g.n))
-        best, _, top, _ = min(forced, key=lambda found: found[0])
+        forced = (cut.minimum([v], range(v), residual) for v in range(g.n))
+        best, _, residual = min(forced, key=lambda found: found[0])
+        top = cut.greatest(residual)
     incident, inside = g.incidence(), [False] * g.n
     kept, value = [], 0
     for u in top:

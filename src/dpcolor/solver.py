@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -172,11 +173,7 @@ def _pendant_blocks(g: Multigraph) -> list[tuple[int, tuple[int, ...], int, int]
 
 
 def _fold_blocks(
-    h: Multigraph,
-    caps: Caps,
-    bases: Sequence[int],
-    fixed: Sequence[int | None],
-    probed: dict | None = None,
+    h: Multigraph, caps: Caps, bases: Sequence[int], fixed: Sequence[int | None]
 ) -> tuple[Multigraph, list[tuple[int, int]], list[int], list[int | None]]:
     """h with each pendant block B that folds replaced by a gadget edge, and
     fixed (parities of h's edges, None or past its end for undecided)
@@ -196,11 +193,9 @@ def _fold_blocks(
     the cover free to put B's strongest charge on v: h has a bad cover
     extending fixed exactly when the result has one extending its part of
     fixed. Smallest blocks fold first, while h has _BLOCK_MIN_EDGES edges
-    and some block folds; probes are memoized in probed, keyed by the
-    block's edges, caps and bases.
+    and some block folds.
     """
     caps, bases, fixed = list(caps), list(bases), list(fixed)
-    probed = {} if probed is None else probed
     while len(h.edges) >= _BLOCK_MIN_EDGES:
         # the only edges at a vertex of B are B's own and uv
         decided = {w for edge, bit in zip(h.edges, fixed) if bit is not None for w in edge}
@@ -210,17 +205,15 @@ def _fold_blocks(
             label = {v: 0, u: 1}
             for w in block:
                 label.setdefault(w, len(label))
-            edges = tuple([(label[a], label[b]) for a, b in h.edges if a in label and b in label])
-            p_caps = [caps[w] for w in list(label)[1:]]
+            edges = [(label[a], label[b]) for a, b in h.edges if a in label and b in label]
+            p_caps = tuple([caps[w] for w in list(label)[1:]])
             p_bases = tuple([label[b] for b in bases if b in block])
-            key = (edges, tuple(p_caps), p_bases)
-            if key not in probed:
-                probed[key] = _gadget(Multigraph(len(label), edges), p_caps, p_bases)
-            if probed[key] is not None:
+            gadget = _gadget(Multigraph(len(label), edges), p_caps, p_bases)
+            if gadget is not None:
                 break
         else:
             break
-        caps[u] = probed[key]
+        caps[u] = gadget
         gone = set(block) - {u}
         fixed = [bit for bit, edge in zip(fixed, h.edges) if gone.isdisjoint(edge)]
         h, keep = h.induced_subgraph(w for w in range(h.n) if w not in gone)
@@ -230,9 +223,13 @@ def _fold_blocks(
     return h, caps, bases, fixed
 
 
-def _gadget(p: Multigraph, block_caps: Caps, bases: Sequence[int]) -> tuple[int, int] | None:
+@cache
+def _gadget(
+    p: Multigraph, block_caps: tuple[tuple[int, int], ...], bases: tuple[int, ...]
+) -> tuple[int, int] | None:
     """The gadget's caps for the probe p (v = 0, then B with block_caps), or
-    None when B does not fold (_fold_blocks)."""
+    None when B does not fold (_fold_blocks). Each probe is exact and depends
+    on its arguments alone, so one memo serves the whole process."""
 
     def colorable(rich: int, poor: int) -> bool:
         return next(_kernel(p, [(rich, poor), *block_caps])[0], None) is None
@@ -266,14 +263,14 @@ def _degree_first(g: Multigraph) -> tuple[Multigraph, list[int]]:
 
 
 def _core(
-    g: Multigraph, caps: Caps, fixed: Sequence[int | None] = (), probed: dict | None = None
+    g: Multigraph, caps: Caps, fixed: Sequence[int | None] = ()
 ) -> tuple[Multigraph, list[tuple[int, int]], list[int], list[int | None]]:
     """The one reduction pipeline: g without its flags (_fold) and its pendant
     blocks (_fold_blocks) under the parity prefix fixed, with its edges in
     degree-first order (_degree_first); its caps; the bases of its flags; and
     fixed moved to its edge ids. g has a bad cover extending fixed exactly
     when the core has one extending the moved fixed."""
-    h, h_caps, bases, h_fixed = _fold_blocks(*_fold(g, caps, fixed), probed)
+    h, h_caps, bases, h_fixed = _fold_blocks(*_fold(g, caps, fixed))
     h, position = _degree_first(h)
     moved: list[int | None] = [None] * len(position)
     for k, bit in zip(position, h_fixed):
@@ -371,12 +368,11 @@ def is_colorable(
     already answered yes and takes no scan. Flags fold under every prefix,
     and blocks only where the prefix leaves them free, so when nothing folds
     under the empty prefix, the core under every prefix is g itself, and
-    the witness is the first cover of one lex scan of g. Every _core call
-    shares one probe memo.
+    the witness is the first cover of one lex scan of g. Block probes are
+    memoized for the whole process (_gadget).
     """
     caps = _caps(params, _scan_checked(g, params, t, max_covers))
-    probed: dict = {}
-    h, h_caps, _, _ = core = _core(g, caps, (), probed)
+    h, h_caps, _, _ = core = _core(g, caps)
     if next(_kernel(h, h_caps)[0], None) is None:
         return True, None
     if h.n == g.n:
@@ -385,10 +381,10 @@ def is_colorable(
     for _ in g.edges:
         known = core  # has a bad cover
         bits.append(0)
-        h, h_caps, _, h_fixed = core = _core(g, caps, bits, probed)
+        h, h_caps, _, h_fixed = core = _core(g, caps, bits)
         if core != known and next(_kernel(h, h_caps, fixed=h_fixed)[0], None) is None:
             bits[-1] = 1
-            core = _core(g, caps, bits, probed)
+            core = _core(g, caps, bits)
     return False, Cover(tuple(bits))
 
 

@@ -48,7 +48,7 @@ def _violations(
 
     def violated(ins: list[int], outs: list[int] | range) -> set[int] | None:
         nonlocal accepted
-        value, least, _, residual = cut.minimum(ins, outs, accepted)
+        value, least, residual = cut.minimum(ins, outs, accepted)
         if value < (n + 1) * (c - 1):
             accepted = residual
             return set(least)

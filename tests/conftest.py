@@ -148,7 +148,9 @@ def seeded_multigraphs(seed: int, count: int, min_n: int, max_n: int):
 
 @pytest.fixture(params=["tree", "search"])
 def kernel(request, monkeypatch):
-    """Run the test on each all-cover scan kernel: the cover tree and one _Search per cover."""
+    """Run the test on each all-cover scan kernel: the cover tree and one _Search per cover.
+    The block probe memo starts empty, so the probes run on this kernel too."""
+    solver._gadget.cache_clear()
     if request.param == "search":
         monkeypatch.setattr(solver, "_TREE_MAX_VERTICES", -1)
     return request.param
@@ -167,6 +169,20 @@ def max_flows(monkeypatch):
 
     monkeypatch.setattr(potential._MinCut, "minimum", counted)
     return runs
+
+
+@pytest.fixture
+def backward_passes(monkeypatch):
+    """A list that gains one entry per ``_MinCut.greatest`` pass during the test."""
+    passes: list[None] = []
+    greatest = potential._MinCut.greatest
+
+    def counted(self, residual):
+        passes.append(None)
+        return greatest(self, residual)
+
+    monkeypatch.setattr(potential._MinCut, "greatest", counted)
+    return passes
 
 
 def tied_graphs():

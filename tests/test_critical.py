@@ -265,6 +265,12 @@ def test_fdp_budget_raises_where_the_uncached_search_did(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "fdp 6"
 
 
+def test_fdp_checks_no_budget_on_a_level_with_no_multiset():
+    # one vertex has no pair to join, so no level holds a multiset and no
+    # level may refuse its 2^e covers
+    assert fdp_search(DefectParams(0, 1), 1, max_covers=1) is None
+
+
 class TestCheckBounds:
     def test_triple_edge_sharp(self):
         report = check_bounds(TRIPLE, P01)

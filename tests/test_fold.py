@@ -188,7 +188,7 @@ def fold_small(monkeypatch):
 
 @pytest.mark.usefixtures("fold_small")
 class TestFoldBlocks:
-    def test_bridges_come_from_one_lowpoint_pass(self):
+    def test_pendant_sides_of_a_path(self):
         # each bridge of a 4-vertex path gives a side of 2 or 3 vertices
         blocks = solver._pendant_blocks(Multigraph(4, [(0, 1), (1, 2), (2, 3)]))
         assert sorted(blocks) == [
@@ -231,12 +231,12 @@ class TestFoldBlocks:
         # 3, each with caps (j, 0); at j = 1 the cover can forbid one side of v,
         # from j = 2 it can only charge it one conflict
         p = Multigraph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
-        assert solver._gadget(p, [(j, 0)] * 3, ()) == gadget
+        assert solver._gadget(p, ((j, 0),) * 3, ()) == gadget
 
     def test_a_block_with_a_redundant_edge_does_not_fold(self):
         # the triangle's far edge doubled: deleting one copy keeps v charged
         p = Multigraph(4, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
-        assert [solver._gadget(p, [(j, 0)] * 3, ()) for j in (1, 2, 3)] == [None] * 3
+        assert [solver._gadget(p, ((j, 0),) * 3, ()) for j in (1, 2, 3)] == [None] * 3
 
     @pytest.mark.parametrize("j, m", [(2, 2), (3, 2), (2, 4), (3, 5), (4, 4), (2, 8)])
     def test_zeroj_folds_to_its_cycle_and_one_gadget_per_triangle(self, j, m):
@@ -323,19 +323,23 @@ def test_the_witness_scans_the_folded_blocks(monkeypatch):
     assert len(runs) < 1000
 
 
-def test_the_witness_probes_each_block_once(monkeypatch):
-    # every _core call of one is_colorable shares one probe memo, so the
-    # four triangles of zeroj j = 4, m = 4, all alike, take one _gadget
-    # probe, not one per witness step (28)
-    probes = []
-    gadget = solver._gadget
-
-    def counted(p, block_caps, bases):
-        probes.append(p.edges)
-        return gadget(p, block_caps, bases)
-
-    monkeypatch.setattr(solver, "_gadget", counted)
+def test_the_witness_probes_each_block_once():
+    # the probe memo serves every _core call, so the four triangles of
+    # zeroj j = 4, m = 4, all alike, take one _gadget probe, not one per
+    # witness step (28)
+    solver._gadget.cache_clear()
     inst = build_family("zeroj", None, 4, 4)
     ok, witness = is_colorable(inst.graph, inst.params)
     assert (ok, witness.letters()) == (False, "EOOOOEOOEEOOEEOOEEOOE")
-    assert len(probes) == 1
+    assert solver._gadget.cache_info().misses == 1
+
+
+def test_is_critical_shares_its_probes_across_calls():
+    # the second call finds every probe of zeroj j = 3, m = 2 in the memo
+    solver._gadget.cache_clear()
+    inst = build_family("zeroj", None, 3, 2)
+    assert is_critical(inst.graph, inst.params)
+    misses = solver._gadget.cache_info().misses
+    assert misses >= 1
+    assert is_critical(inst.graph, inst.params)
+    assert solver._gadget.cache_info().misses == misses

@@ -384,9 +384,10 @@ def test_min_cut_returns_the_least_and_greatest_minimizer(g, data):
     coeff = data.draw(st.integers(1, 3))
     ins = data.draw(st.sets(st.sampled_from(range(g.n)))) if g.n else set()
     outs = data.draw(st.sets(st.sampled_from(range(g.n)))) - ins if g.n else set()
-    assert _MinCut(g, weights, coeff).minimum(sorted(ins), sorted(outs))[:3] == _forced_minimum(
-        _cut_values(g, weights, coeff), ins, outs
-    )
+    cut = _MinCut(g, weights, coeff)
+    value, least, residual = cut.minimum(sorted(ins), sorted(outs))
+    expect = _forced_minimum(_cut_values(g, weights, coeff), ins, outs)
+    assert (value, least, cut.greatest(residual)) == expect
 
 
 @given(multigraphs(max_n=6, max_edges=9), st.data())
@@ -408,23 +409,25 @@ def test_warm_started_cuts_match_cold_cuts_and_brute_force(g, data):
     for _ in range(data.draw(st.integers(1, 4))):
         ins = more(ins, outs)
         outs = more(outs, ins)
-        *warm, residual = cut.minimum(sorted(ins), sorted(outs), residual)
-        assert tuple(warm) == cut.minimum(sorted(ins), sorted(outs))[:3]
-        assert tuple(warm) == _forced_minimum(values, ins, outs)
+        value, least, residual = cut.minimum(sorted(ins), sorted(outs), residual)
+        warm = value, least, cut.greatest(residual)
+        cold_value, cold_least, cold = cut.minimum(sorted(ins), sorted(outs))
+        assert warm == (cold_value, cold_least, cut.greatest(cold))
+        assert warm == _forced_minimum(values, ins, outs)
 
 
 def test_a_warm_start_must_force_a_subset():
     cut = _MinCut(Multigraph(3, [(0, 1), (1, 2)]), [1, -1, 1], 1)
-    residual = cut.minimum([0], [])[3]
+    residual = cut.minimum([0], [])[2]
     with pytest.raises(ValueError, match="warm start"):
         cut.minimum([], [2], residual)
 
 
 @pytest.mark.parametrize("inst", POTENTIAL_FAMILIES, ids=lambda inst: f"{inst.family}-{inst.i}-{inst.j}-{inst.m}")
-def test_rho_graph_takes_one_max_flow_on_family_instances(inst, max_flows):
+def test_rho_graph_takes_one_max_flow_on_family_instances(inst, max_flows, backward_passes):
     value, _ = rho_graph(inst.graph, inst.params)
     assert value <= potential_threshold(inst.params)
-    assert len(max_flows) == 1
+    assert len(max_flows) == len(backward_passes) == 1
 
 
 def test_rho_graph_matches_oracle_with_tied_minimizers():
@@ -436,7 +439,7 @@ def test_rho_graph_matches_oracle_with_tied_minimizers():
                 assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t), (g, ij, t)
 
 
-def test_rho_graph_falls_back_to_forced_cuts_when_every_set_is_positive(max_flows):
+def test_rho_graph_falls_back_to_forced_cuts_when_every_set_is_positive(max_flows, backward_passes):
     """At (1, 2) a vertex weighs 7 and an edge 5, so on trees and paths every nonempty set
     is positive and only the empty set is a minimizer of the unforced cut."""
     params = DefectParams(1, 2)
@@ -445,10 +448,12 @@ def test_rho_graph_falls_back_to_forced_cuts_when_every_set_is_positive(max_flow
     trees = [Multigraph(n, [(v, rng.randrange(v)) for v in range(1, n)]) for n in range(2, 13)]
     for g in paths + trees:
         t = Toughness.zero_pairs(g.n)
-        del max_flows[:]
+        del max_flows[:], backward_passes[:]
         value, argmin = rho_graph(g, params, t)
         assert value > 0
         assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t), g
         assert len(max_flows) == 1 + g.n
+        # the greatest minimizer is read off the unforced cut and the winning forced cut alone
+        assert len(backward_passes) == 2
         # every forced cut starts from the unforced cut's residual
         assert [warm for _, _, warm in max_flows] == [False] + [True] * g.n

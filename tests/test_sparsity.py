@@ -164,15 +164,17 @@ def test_violating_subset_finds_its_top_vertex_by_binary_search(max_flows):
         assert len(unforced) <= math.ceil(math.log2(g.n)) + 1
 
 
-def test_violating_subset_warm_starts_every_cut_after_the_first(max_flows):
+def test_violating_subset_warm_starts_every_cut_after_the_first(max_flows, backward_passes):
     """gen --family large --i 1 --j 3 --m 1: the first cut starts from zero flow, and each of
-    the six probes after it from the residual of the last cut that found a violation."""
+    the six probes after it from the residual of the last cut that found a violation. Only
+    least minimizers are read, so no cut makes the backward pass."""
     inst = build_large(1, 3, 1)
     assert sorted(violating_subset(inst.graph, inst.params)) == [2, 3, 4, 5]
     assert [warm for _, _, warm in max_flows] == [False] + [True] * 6
+    assert not backward_passes
 
 
-def test_sparsity_guarantee_takes_one_max_flow(max_flows):
+def test_sparsity_guarantee_takes_one_max_flow(max_flows, backward_passes):
     """One cut grants or refuses the guarantee, where violating_subset goes on to find the set."""
     refused = 0
     for k, g in enumerate(seeded_multigraphs(seed=3, count=20, min_n=14, max_n=18)):
@@ -183,3 +185,4 @@ def test_sparsity_guarantee_takes_one_max_flow(max_flows):
         assert len(max_flows) == 1
         refused += not expect
     assert refused
+    assert not backward_passes
