@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph import BudgetError, DefectParams, FormatError, Multigraph, Toughness
 
@@ -34,6 +34,11 @@ class Side(IntEnum):
     @property
     def letter(self) -> str:
         return "R" if self is Side.RICH else "P"
+
+
+# caps[v][side]: the most conflicts v may take on a side, indexed by the Side
+# integer (RICH = 0, POOR = 1); a negative cap rules that side out
+Caps = Sequence[tuple[int, int]]
 
 
 _PARITY_FROM_LETTER = {"E": Parity.EVEN, "O": Parity.ODD}
@@ -117,6 +122,19 @@ def conflict_total(g: Multigraph, c: Cover, phi: PhiMap) -> int:
     )
 
 
+def _checked(g: Multigraph, params: DefectParams, t: Toughness | None) -> Toughness:
+    if t is None:
+        t = Toughness.zero(g.n)
+    t.check(params, g.n)
+    return t
+
+
+def _caps(params: DefectParams, t: Toughness) -> list[tuple[int, int]]:
+    """Per vertex v, (j - t_r(v), i - t_p(v)): its rich and poor caps, the one
+    statement of the (i, j, t) cap rule."""
+    return [(params.j - tr, params.i - tp) for tp, tr in zip(t.poor, t.rich)]
+
+
 def is_valid_coloring(
     g: Multigraph,
     c: Cover,
@@ -124,23 +142,12 @@ def is_valid_coloring(
     params: DefectParams,
     t: Toughness | None = None,
 ) -> bool:
-    """Whether phi is an (i, j, t)-coloring for this cover.
-
-    A poor vertex tolerates i - t_poor(v) conflicts, a rich one j - t_rich(v);
-    a negative cap means that side is never valid.
-    """
-    if t is None:
-        t = Toughness.zero(g.n)
-    t.check(params, g.n)
+    """Whether phi is an (i, j, t)-coloring for this cover: every vertex takes
+    at most its cap (_caps) on its chosen side, so a negative cap means that
+    side is never valid."""
+    caps = _caps(params, _checked(g, params, t))
     conf = conflict_degrees(g, c, phi)
-    for v in range(g.n):
-        if phi.sides[v] is Side.POOR:
-            cap = params.i - t.poor[v]
-        else:
-            cap = params.j - t.rich[v]
-        if conf[v] > cap:
-            return False
-    return True
+    return all(k <= cap[side] for k, cap, side in zip(conf, caps, phi.sides))
 
 
 def cover_from_index(num_edges: int, index: int) -> Cover:

@@ -5,11 +5,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from .cover import Caps
 from .graph import Multigraph
-
-# caps[v][side]: the most conflicts v may take on a side, indexed by the Side
-# integer (RICH = 0, POOR = 1); a negative cap rules that side out
-Caps = Sequence[tuple[int, int]]
 
 
 class _CoverTree:

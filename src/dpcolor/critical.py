@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, groupby, permutations, product
 
-from .cover import DEFAULT_MAX_COVERS, _parity_vectors
+from .cover import DEFAULT_MAX_COVERS, _caps, _parity_vectors
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 from .potential import (
     _POTENTIAL_REGIMES,
@@ -19,7 +19,7 @@ from .potential import (
     regime,
     rho_graph,
 )
-from .solver import _caps, _core, _scan_checked, _scan_critical
+from .solver import _core, _scan_checked, _scan_critical
 from .solver import is_colorable  # noqa: F401  (bench/tracer.py wraps critical.is_colorable)
 
 DEFAULT_MAX_SEARCH_VERTICES = 5
@@ -85,12 +85,10 @@ def is_critical(
     deg = [len(inc) for inc in g.incidence()]
     if 0 in deg:
         return False
-    t = _scan_checked(g, params, t, max_covers)
-    if not g.is_connected() or any(
-        deg[v] == 1 and t.poor[v] <= params.i and t.rich[v] <= params.j for v in range(g.n)
-    ):
+    caps = _caps(params, _scan_checked(g, params, t, max_covers))
+    if not g.is_connected() or any(d == 1 and min(cap) >= 0 for d, cap in zip(deg, caps)):
         return False
-    return _scan_critical(*_core(g, _caps(params, t))[:3])
+    return _scan_critical(*_core(g, caps)[:3])
 
 
 @dataclass(frozen=True)

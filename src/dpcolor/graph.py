@@ -123,9 +123,6 @@ class Multigraph:
             raise ValueError(f"edge id {e} out of range [0, {len(self.edges)})")
         return Multigraph(self.n, self.edges[:e] + self.edges[e + 1 :])
 
-    def add_edge(self, u: int, v: int) -> Multigraph:
-        return Multigraph(self.n, self.edges + ((u, v),))
-
     def induced_subgraph(self, s: Iterable[int]) -> tuple[Multigraph, tuple[int, ...]]:
         """Subgraph on vertex set s, relabeled densely.
 

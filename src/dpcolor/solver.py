@@ -6,41 +6,55 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cover import DEFAULT_MAX_COVERS, Cover, PhiMap, _check_cover, _parity_vectors
-from .covertree import Caps, _CoverTree
+from .cover import (
+    DEFAULT_MAX_COVERS,
+    Caps,
+    Cover,
+    PhiMap,
+    _caps,
+    _check_cover,
+    _checked,
+    _parity_vectors,
+)
+from .covertree import _CoverTree
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 
 DEFAULT_MAX_VERTICES = 32
 
 
-class _Search:
-    """Reusable branch-and-bound state for one graph and its caps.
+def _busiest_first(incident: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """g's vertices by descending degree, ties by id (sorted is stable), from
+    its incidence lists."""
+    return sorted(range(len(incident)), key=lambda v: -len(incident[v]))
 
-    Vertices are assigned in descending-degree order (ties by id), rich side
-    first. A branch dies as soon as any assigned vertex's conflict count over
-    decided edges exceeds its cap; counts only grow deeper in the tree, so the
-    prune is sound and the first leaf reached is the deterministic witness.
+
+class _Search:
+    """Reusable branch-and-bound state for one graph; run takes a cover and caps.
+
+    Vertices are assigned busiest first (_busiest_first), rich side first. A
+    branch dies as soon as any assigned vertex's conflict count over decided
+    edges exceeds its cap; counts only grow deeper in the tree, so the prune
+    is sound and the first leaf reached is the deterministic witness. An
+    isolated vertex never conflicts, so it takes its first side with a
+    non-negative cap, rich first, before the search, which walks only the
+    non-isolated vertices.
     """
 
-    def __init__(self, g: Multigraph, caps: Caps):
+    def __init__(self, g: Multigraph):
         self.n = g.n
         self.incident = g.incidence()
-        deg = [len(inc) for inc in self.incident]
-        self.order = sorted((v for v in range(g.n) if deg[v]), key=lambda v: (-deg[v], v))
-        self.cap = caps
-        # An isolated vertex never conflicts, so it takes its first side with a
-        # non-negative cap, rich first, before the search, which walks only the
-        # non-isolated vertices. With neither side, no map exists.
-        self.hopeless = any(not deg[v] and max(self.cap[v]) < 0 for v in range(g.n))
-        self.start = [-1 if deg[v] else int(self.cap[v][0] < 0) for v in range(g.n)]
+        self.order = [v for v in _busiest_first(self.incident) if self.incident[v]]
+        self.isolated = [v for v in range(g.n) if not self.incident[v]]
 
-    def run(self, parity_bits: Sequence[int]) -> list[int] | None:
-        if self.hopeless:
+    def run(self, parity_bits: Sequence[int], cap: Caps) -> list[int] | None:
+        """The first side map within cap under parity_bits, or None."""
+        if min(map(max, cap), default=0) < 0:  # a vertex with neither side
             return None
-        sides = list(self.start)
+        sides = [-1] * self.n
+        for v in self.isolated:
+            sides[v] = int(cap[v][0] < 0)
         conf = [0] * self.n
         incident = self.incident
-        cap = self.cap
         order = self.order
         # trail[k]: the side order[k] took and the neighbours it bumped
         trail: list[tuple[int, list[int]]] = []
@@ -54,6 +68,7 @@ class _Search:
                     bumped: list[int] = []
                     for u, e in incident[v]:
                         su = sides[u]
+                        # a parity of 2 marks an absent edge: 2 ^ s ^ su is never 0
                         if su >= 0 and parity_bits[e] ^ s ^ su == 0:
                             mine += 1
                             if mine > cap_v:
@@ -86,13 +101,6 @@ class _Search:
         return sides
 
 
-def _checked(g: Multigraph, params: DefectParams, t: Toughness | None) -> Toughness:
-    if t is None:
-        t = Toughness.zero(g.n)
-    t.check(params, g.n)
-    return t
-
-
 def _scan_checked(
     g: Multigraph, params: DefectParams, t: Toughness | None, max_covers: int
 ) -> Toughness:
@@ -100,11 +108,6 @@ def _scan_checked(
     2^|E| covers, then G's toughness."""
     _parity_vectors(len(g.edges), max_covers)
     return _checked(g, params, t)
-
-
-def _caps(params: DefectParams, t: Toughness) -> list[tuple[int, int]]:
-    """Per vertex v, (j - t_r(v), i - t_p(v)): its rich and poor caps."""
-    return [(params.j - tr, params.i - tp) for tp, tr in zip(t.poor, t.rich)]
 
 
 def _fold(
@@ -242,16 +245,15 @@ def _gadget(
 def _degree_first(g: Multigraph) -> tuple[Multigraph, list[int]]:
     """g with its edges in verdict-scan order, and the new id of each edge of g.
 
-    Vertices are ranked as _Search assigns them, by descending degree with
-    ties by id, and an edge is keyed by the rank of its later endpoint, then
-    of its earlier one; parallel edges keep their order. So the edges among
-    the busiest vertices are decided first, where the cover tree's caps and
-    slack prune cut the most. Relabeling edges changes no verdict, only the
-    order in which the bad covers come.
+    Vertices are ranked as _Search assigns them (_busiest_first), and an edge
+    is keyed by the rank of its later endpoint, then of its earlier one;
+    parallel edges keep their order. So the edges among the busiest vertices
+    are decided first, where the cover tree's caps and slack prune cut the
+    most. Relabeling edges changes no verdict, only the order in which the
+    bad covers come.
     """
-    deg = [len(inc) for inc in g.incidence()]
     rank = [0] * g.n
-    for r, v in enumerate(sorted(range(g.n), key=lambda v: (-deg[v], v))):
+    for r, v in enumerate(_busiest_first(g.incidence())):
         rank[v] = r
     order = sorted(
         range(len(g.edges)), key=lambda e: sorted(map(rank.__getitem__, g.edges[e]), reverse=True)
@@ -300,9 +302,9 @@ def exhaustive_color(
     caps = _caps(params, _checked(g, params, t))
     bits = [int(p) for p in c.parities]
     h, h_caps, bases, h_bits = _fold(g, caps, bits)
-    if bases and _Search(h, h_caps).run(h_bits) is None:
+    if bases and _Search(h).run(h_bits, h_caps) is None:
         return None
-    sides = _Search(g, caps).run(bits)
+    sides = _Search(g).run(bits, caps)
     if sides is None:
         return None
     return PhiMap(tuple(sides))
@@ -399,7 +401,9 @@ def _kernel(
     keeps the covers that start with it.
 
     Up to _TREE_MAX_VERTICES vertices both come from one _CoverTree, above from
-    one _Search per cover and per check, with the same answers in the same order.
+    one _Search of g, with the same answers in the same order: its run decides
+    each cover, each g - e as the cover with parity 2 (absent) at e, and each
+    base relaxation as the cover under the base's raised caps.
     """
     choices = [
         (0, 1) if e >= len(fixed) or fixed[e] is None else (fixed[e],) for e in range(len(g.edges))
@@ -407,22 +411,20 @@ def _kernel(
     if g.n <= _TREE_MAX_VERTICES:
         tree = _CoverTree()
         return tree.bad_covers(g, caps, bases, choices), tree.deletions_colorable
-    search = _Search(g, caps)
-    checks: list[tuple[_Search, int | None]] = []
+    search = _Search(g)
+    relaxed = []
+    for v in bases:
+        raised = list(caps)
+        raised[v] = (caps[v][0] + 1, caps[v][1] + 1)
+        relaxed.append(raised)
 
     def deletions_colorable(bits: tuple[int, ...]) -> bool:
-        if not checks:
-            checks.extend((_Search(g.delete_edge(e), caps), e) for e in range(len(g.edges)))
-            for v in bases:
-                raised = list(caps)
-                raised[v] = (caps[v][0] + 1, caps[v][1] + 1)
-                checks.append((_Search(g, raised), None))
-        # delete_edge shifts later ids down, so dropping bit e restricts the cover
         return all(
-            s.run(bits if e is None else bits[:e] + bits[e + 1 :]) is not None for s, e in checks
-        )
+            search.run(bits[:e] + (2,) + bits[e + 1 :], caps) is not None for e in range(len(bits))
+        ) and all(search.run(bits, raised) is not None for raised in relaxed)
 
-    return (bits for bits in product(*choices) if search.run(bits) is None), deletions_colorable
+    bad_covers = (bits for bits in product(*choices) if search.run(bits, caps) is None)
+    return bad_covers, deletions_colorable
 
 
 def _scan_critical(g: Multigraph, caps: Caps, bases: Sequence[int] = ()) -> bool:

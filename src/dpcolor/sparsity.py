@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .cover import DEFAULT_MAX_COVERS
-from .graph import BudgetError, DefectParams, Multigraph, Toughness
+from .graph import BudgetError, DefectParams, Multigraph
 from .potential import DEFAULT_MAX_VERTICES, Regime, _MinCut, _row, regime
-from .solver import is_colorable
 
 
 def _inequality(params: DefectParams) -> tuple[int, int, int]:
@@ -98,21 +96,3 @@ def sparsity_guarantee(
 ) -> bool:
     """Whether every nonempty induced subgraph satisfies the regime inequality: one cut."""
     return _violations(g, params, max_vertices)([], []) is None
-
-
-def guarantee_implies_colorable(
-    g: Multigraph,
-    params: DefectParams,
-    *,
-    max_covers: int = DEFAULT_MAX_COVERS,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> bool:
-    """Test oracle: a guarantee-passing graph must be colorable over all covers.
-
-    Always true unless something is wrong with the solver, the inequality, or
-    the sparsity scan; property suites hammer this on random inputs.
-    """
-    if sparsity_guarantee(g, params, max_vertices=max_vertices):
-        ok, _ = is_colorable(g, params, Toughness.zero(g.n), max_covers=max_covers)
-        return ok
-    return True

@@ -148,7 +148,7 @@ def seeded_multigraphs(seed: int, count: int, min_n: int, max_n: int):
 
 @pytest.fixture(params=["tree", "search"])
 def kernel(request, monkeypatch):
-    """Run the test on each all-cover scan kernel: the cover tree and one _Search per cover.
+    """Run the test on each all-cover scan kernel: the cover tree and one _Search run per cover.
     The block probe memo starts empty, so the probes run on this kernel too."""
     solver._gadget.cache_clear()
     if request.param == "search":

@@ -28,12 +28,12 @@ from dpcolor import (
     exhaustive_color,
     fdp_search,
     greedy_color,
-    guarantee_implies_colorable,
     is_colorable,
     is_critical,
     is_valid_coloring,
     partition_witness,
     rho_graph,
+    sparsity_guarantee,
 )
 from dpcolor.cli import main as cli_main
 
@@ -263,7 +263,8 @@ def test_criterion_6d_sparsity_guarantee():
         st.sampled_from([(0, 1), (0, 2), (1, 2), (1, 3), (1, 1), (2, 4), (2, 2)]),
     )
     def prop(g, ij):
-        assert guarantee_implies_colorable(g, DefectParams(*ij))
+        params = DefectParams(*ij)
+        assert not sparsity_guarantee(g, params) or is_colorable(g, params)[0]
 
     _criterion("6d sparsity guarantee", prop)
 

@@ -312,9 +312,9 @@ def test_the_witness_scans_the_folded_blocks(monkeypatch):
     runs = []
     run = solver._Search.run
 
-    def counted(self, bits):
+    def counted(self, bits, caps):
         runs.append(bits)
-        return run(self, bits)
+        return run(self, bits, caps)
 
     monkeypatch.setattr(solver._Search, "run", counted)
     inst = build_family("zeroj", None, 4, 4)

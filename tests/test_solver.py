@@ -115,7 +115,7 @@ def test_exhaustive_folds_flags_and_keeps_the_witness(g, params, data):
     assert (fast is not None) == oracles.cover_colorable(
         g.n, list(g.edges), bits, params.i, params.j, t.poor, t.rich
     )
-    sides = solver._Search(g, solver._caps(params, t)).run(bits)
+    sides = solver._Search(g).run(bits, solver._caps(params, t))
     assert (fast and [int(s) for s in fast.sides]) == sides
 
 
@@ -278,25 +278,78 @@ def test_deletion_check_matches_oracle(kernel, g, params, data):
         assert deletions_colorable(bits) == expect
 
 
+@KERNEL_SETTINGS
+@given(multigraphs(max_n=5, max_edges=7), defect_params(), st.data())
+def test_base_relaxation_check_matches_oracle(kernel, g, params, data):
+    # bases as the flag fold leaves them: one isolated in the core (each of its
+    # edges was a flag's), any others anywhere; toughness reaches i + 1 and
+    # j + 1, and one vertex may be drawn to both, leaving it neither side
+    g = Multigraph(g.n + 1, g.edges)
+    t = data.draw(toughness_for(g.n, params))
+    poor, rich = list(t.poor), list(t.rich)
+    for v in data.draw(st.lists(st.integers(0, g.n - 1), max_size=1)):
+        poor[v], rich[v] = params.i + 1, params.j + 1
+    bases = sorted({g.n - 1, *data.draw(st.lists(st.integers(0, g.n - 1)))})
+    edges = list(g.edges)
+    caps = solver._caps(params, Toughness.pairs(zip(poor, rich)))
+    bad_covers, deletions_colorable = solver._kernel(g, caps, bases)
+    for bits in bad_covers:
+        deletions = all(
+            oracles.cover_colorable(
+                g.n,
+                edges[:e] + edges[e + 1 :],
+                list(bits[:e] + bits[e + 1 :]),
+                params.i,
+                params.j,
+                poor,
+                rich,
+            )
+            for e in range(len(edges))
+        )
+        relaxations = all(
+            oracles.cover_colorable(
+                g.n,
+                edges,
+                list(bits),
+                params.i,
+                params.j,
+                [tp - (v == b) for v, tp in enumerate(poor)],
+                [tr - (v == b) for v, tr in enumerate(rich)],
+            )
+            for b in bases
+        )
+        assert deletions_colorable(bits) == (deletions and relaxations)
+
+
 def test_deletion_check_matches_oracle_on_every_small_multiset(kernel):
     # random draws rarely reach a bad cover whose deletions all color; this
-    # sweep holds about 1,200 of them among about 6,700 bad covers
+    # sweep holds about 1,200 of them among about 6,700 bad covers, and with
+    # each vertex in turn as the one base, about 4,500 on which the base's
+    # relaxation decides the answer
+    def expect(n, edges, bits, i, j, bases):
+        deletions = all(
+            oracles.cover_colorable(
+                n, list(edges[:e] + edges[e + 1 :]), list(bits[:e] + bits[e + 1 :]), i, j
+            )
+            for e in range(len(edges))
+        )
+        # toughness -1 at a base raises both of its caps by one
+        lowered = ([-(v == b) for v in range(n)] for b in bases)
+        return deletions and all(
+            oracles.cover_colorable(n, list(edges), list(bits), i, j, t, t) for t in lowered
+        )
+
     for n in (2, 3, 4):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for m in range(1, 6):
             for edges in combinations_with_replacement(pairs, m):
                 for i, j in ((0, 1), (0, 2), (1, 1), (1, 2)):
-                    bad_covers, deletions_colorable = solver._kernel(
-                        Multigraph(n, edges), solver._caps(DefectParams(i, j), Toughness.zero(n))
-                    )
-                    for bits in bad_covers:
-                        expect = all(
-                            oracles.cover_colorable(
-                                n, list(edges[:e] + edges[e + 1 :]), list(bits[:e] + bits[e + 1 :]), i, j
-                            )
-                            for e in range(m)
-                        )
-                        assert deletions_colorable(bits) == expect
+                    g = Multigraph(n, edges)
+                    caps = solver._caps(DefectParams(i, j), Toughness.zero(n))
+                    for bases in [(), *((b,) for b in range(n))]:
+                        bad_covers, deletions_colorable = solver._kernel(g, caps, bases)
+                        for bits in bad_covers:
+                            assert deletions_colorable(bits) == expect(n, edges, bits, i, j, bases)
 
 
 @pytest.mark.parametrize("ij", [(0, 0), (0, 1), (1, 1)])
