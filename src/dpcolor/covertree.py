@@ -13,19 +13,25 @@ class _CoverTree:
     """Every side map of g at once, over a depth-first tree of parity vectors.
 
     Map x puts vertex v on its poor side when bit v of x is set; a set of maps
-    is one 2^n-bit int. Depth k decides edge k, E before O unless its parity
-    is fixed, so leaves come in lex order. T[v][c] holds the maps with at
-    least c conflicts at v over the decided edges, up to c = max cap + 2.
-    Edge uw conflicts exactly on the maps where s_u XOR s_w equals its
-    parity, so a node costs a few big-int operations per endpoint. While
-    bad_covers is paused at a bad cover, deletions_colorable reads that
-    leaf's masks.
+    is one 2^n-bit int. Depth k decides edge k, E before O, so leaves come in
+    lex order; it takes only the parity choices[k] fixes, if any, and only O
+    where tie[k], the last earlier edge of its bundle (solver._kernel), took
+    O. T[v][c] holds the maps with at least c conflicts at v over the
+    decided edges, up to c = max cap + 2. Edge uw conflicts exactly on the
+    maps where s_u XOR s_w equals its parity, so a node costs a few big-int
+    operations per endpoint. While bad_covers is paused at a bad cover,
+    deletions_colorable reads that leaf's masks.
     """
 
     def bad_covers(
-        self, g: Multigraph, caps: Caps, bases: Sequence[int], choices: Sequence[Sequence[int]]
+        self,
+        g: Multigraph,
+        caps: Caps,
+        bases: Sequence[int],
+        choices: Sequence[Sequence[int]],
+        tie: Sequence[int | None],
     ) -> Iterator[tuple[int, ...]]:
-        n, self.edges, self.choices = g.n, g.edges, choices
+        n, self.edges, self.choices, self.tie = g.n, g.edges, choices, tie
         self.full = full = (1 << (1 << n)) - 1
         poor = []
         for v in range(n):
@@ -85,7 +91,8 @@ class _CoverTree:
         (pu, ru, au, bu), (pw, rw, aw, bw) = self.sides[u], self.sides[w]
         tu, tw = T[u], T[w]
         masks = (self.full ^ self.diff[k], self.diff[k])
-        for bit in self.choices[k]:
+        tie = self.tie[k]
+        for bit in (1,) if tie is not None and self.bits[tie] else self.choices[k]:
             c = masks[bit]
             T[u] = nu = [tu[0]] + [x | y & c for x, y in zip(tu[1:], tu)]
             T[w] = nw = [tw[0]] + [x | y & c for x, y in zip(tw[1:], tw)]

@@ -73,7 +73,11 @@ def is_critical(
     restriction of a cover of H, and deleting an edge only removes
     conflicts, so the restriction of a colorable cover stays colorable;
     raising caps keeps a colorable cover colorable too. So only H's
-    uncolorable covers need the deletion and relaxation checks. The answer
+    uncolorable covers need the deletion and relaxation checks. Switching
+    at vertices with equal caps commutes with both, so the scan takes one
+    cover per switching class, those that extend the spanning forest
+    _core fixes to E, and permuting parallel edges does too, so it takes
+    one cover per bundle order (solver._kernel). The answer
     depends on no edge order, so H's edges are scanned in degree-first order
     (solver._degree_first), not G's: the edges among H's busiest vertices
     come first, where the tree prunes the most. Up to
@@ -88,7 +92,7 @@ def is_critical(
     caps = _caps(params, _scan_checked(g, params, t, max_covers))
     if not g.is_connected() or any(d == 1 and min(cap) >= 0 for d, cap in zip(deg, caps)):
         return False
-    return _scan_critical(*_core(g, caps)[:3])
+    return _scan_critical(*_core(g, caps))
 
 
 @dataclass(frozen=True)

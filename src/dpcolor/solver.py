@@ -270,13 +270,42 @@ def _core(
     """The one reduction pipeline: g without its flags (_fold) and its pendant
     blocks (_fold_blocks) under the parity prefix fixed, with its edges in
     degree-first order (_degree_first); its caps; the bases of its flags; and
-    fixed moved to its edge ids. g has a bad cover extending fixed exactly
-    when the core has one extending the moved fixed."""
+    fixed moved to its edge ids, then extended by switching. g has a bad
+    cover extending fixed exactly when the core has one extending the
+    extended fixed.
+
+    Switching a vertex set S flips the sides of S and the parities of the
+    edges leaving it, so no edge's conflict status changes. Where S lies in
+    Q, the vertices whose two caps are equal, this maps the colorings of a
+    cover onto those of the switched cover. It keeps the moved prefix when
+    S is a union of components of its decided edges, and it commutes with
+    deleting an edge and with raising a base's caps by one. So with those
+    components contracted, and the ones that hold a vertex outside Q made
+    one root, fixing to E a spanning forest of the undecided edges keeps
+    one cover of each class, with the same verdict, deletion and relaxation
+    answers as the rest of its class.
+    """
     h, h_caps, bases, h_fixed = _fold_blocks(*_fold(g, caps, fixed))
     h, position = _degree_first(h)
     moved: list[int | None] = [None] * len(position)
     for k, bit in zip(position, h_fixed):
         moved[k] = bit
+    # union-find over h's vertices and the root h.n, which holds Q's complement
+    up = [v if rich == poor else h.n for v, (rich, poor) in enumerate(h_caps)] + [h.n]
+
+    def find(v: int) -> int:
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
+
+    for (u, w), bit in zip(h.edges, moved):
+        if bit is not None:
+            up[find(u)] = find(w)
+    for e, (u, w) in enumerate(h.edges):
+        if moved[e] is None and find(u) != find(w):
+            up[find(u)] = find(w)
+            moved[e] = 0
     return h, h_caps, bases, moved
 
 
@@ -363,19 +392,20 @@ def is_colorable(
 
     Every question goes through g's core (_core): whether g has a bad cover
     extending a parity prefix is whether the core has one extending the
-    prefix's image. The verdict is the empty prefix. For the witness, g's
-    edges are then fixed one at a time in g's order, E kept while a bad
-    cover extends the prefix. When fixing E leaves the core, its caps and its
-    fixed parities as they were, as at a flag's first edge, the question was
-    already answered yes and takes no scan. Flags fold under every prefix,
-    and blocks only where the prefix leaves them free, so when nothing folds
-    under the empty prefix, the core under every prefix is g itself, and
-    the witness is the first cover of one lex scan of g. Block probes are
-    memoized for the whole process (_gadget).
+    prefix's image, extended by switching. The verdict is the empty prefix.
+    For the witness, g's edges are then fixed one at a time in g's order, E
+    kept while a bad cover extends the prefix. When fixing E leaves the core,
+    its caps and its fixed parities as they were, as at a flag's first edge,
+    the question was already answered yes and takes no scan. Flags fold
+    under every prefix, and blocks only where the prefix leaves them free,
+    so when nothing folds under the empty prefix, every question is about g
+    itself, and the witness is the first cover of one lex scan of g, without
+    the switching forest: _kernel's bundle rule keeps that first hit
+    lex-first. Block probes are memoized for the whole process (_gadget).
     """
     caps = _caps(params, _scan_checked(g, params, t, max_covers))
-    h, h_caps, _, _ = core = _core(g, caps)
-    if next(_kernel(h, h_caps)[0], None) is None:
+    h, h_caps, _, h_fixed = core = _core(g, caps)
+    if next(_kernel(h, h_caps, fixed=h_fixed)[0], None) is None:
         return True, None
     if h.n == g.n:
         return False, Cover(next(_kernel(g, caps)[0]))
@@ -393,12 +423,20 @@ def is_colorable(
 def _kernel(
     g: Multigraph, caps: Caps, bases: Sequence[int] = (), *, fixed: Sequence[int | None] = ()
 ) -> tuple[Iterator[tuple[int, ...]], Callable[[tuple[int, ...]], bool]]:
-    """The bad covers of g under caps, and whether the one last yielded colors
-    each g - e and g with the caps of each base in bases raised by one.
+    """The bad covers of g under caps that extend fixed and sort each bundle,
+    in lex order, and whether the one last yielded colors each g - e and g
+    with the caps of each base in bases raised by one.
 
     Edge e takes only the parity fixed[e] where that is 0 or 1; an edge past
-    the end of fixed, or fixed at None, takes both, so a prefix for fixed
-    keeps the covers that start with it.
+    the end of fixed, or fixed at None, is free and takes both, so a prefix
+    for fixed keeps the covers that start with it. A bundle is the free
+    edges with the same two ends, and a cover sorts it when it puts E before
+    O along it: tie[e], the last earlier edge of e's bundle, never takes O
+    where e takes E. Permuting a bundle is an automorphism of g that keeps
+    fixed, and each orbit's lex-first cover is the one that sorts every
+    bundle, so a bad cover extending fixed exists exactly when one is
+    yielded, the first one yielded is the lex-first of them all, and the
+    deletion and relaxation answers are the same across an orbit.
 
     Up to _TREE_MAX_VERTICES vertices both come from one _CoverTree, above from
     one _Search of g, with the same answers in the same order: its run decides
@@ -408,9 +446,15 @@ def _kernel(
     choices = [
         (0, 1) if e >= len(fixed) or fixed[e] is None else (fixed[e],) for e in range(len(g.edges))
     ]
+    tie: list[int | None] = [None] * len(choices)
+    last: dict[frozenset[int], int] = {}
+    for e, edge in enumerate(g.edges):
+        if len(choices[e]) == 2:
+            tie[e] = last.get(frozenset(edge))
+            last[frozenset(edge)] = e
     if g.n <= _TREE_MAX_VERTICES:
         tree = _CoverTree()
-        return tree.bad_covers(g, caps, bases, choices), tree.deletions_colorable
+        return tree.bad_covers(g, caps, bases, choices, tie), tree.deletions_colorable
     search = _Search(g)
     relaxed = []
     for v in bases:
@@ -423,14 +467,22 @@ def _kernel(
             search.run(bits[:e] + (2,) + bits[e + 1 :], caps) is not None for e in range(len(bits))
         ) and all(search.run(bits, raised) is not None for raised in relaxed)
 
-    bad_covers = (bits for bits in product(*choices) if search.run(bits, caps) is None)
+    ties = [(t, e) for e, t in enumerate(tie) if t is not None]
+    bad_covers = (
+        bits
+        for bits in product(*choices)
+        if all(bits[t] <= bits[e] for t, e in ties) and search.run(bits, caps) is None
+    )
     return bad_covers, deletions_colorable
 
 
-def _scan_critical(g: Multigraph, caps: Caps, bases: Sequence[int] = ()) -> bool:
+def _scan_critical(
+    g: Multigraph, caps: Caps, bases: Sequence[int] = (), fixed: Sequence[int | None] = ()
+) -> bool:
     """Whether g is uncolorable but each g - e, and g with each base's caps
-    raised by one, is colorable, from one scan (see critical.is_critical)."""
-    bad_covers, deletions_colorable = _kernel(g, caps, bases)
+    raised by one, is colorable, from one scan of the covers extending fixed
+    (see critical.is_critical)."""
+    bad_covers, deletions_colorable = _kernel(g, caps, bases, fixed=fixed)
     uncolorable = False
     for bits in bad_covers:
         uncolorable = True

@@ -16,6 +16,7 @@ both scan kernels.
 
 from __future__ import annotations
 
+import random
 from functools import cache
 
 import pytest
@@ -29,6 +30,7 @@ from conftest import (
     every_small_multigraph,
     flagged_multigraphs,
     hang,
+    multigraphs,
     pendant_block_graphs,
     seeded_multigraphs,
     toughness_for,
@@ -38,6 +40,7 @@ from dpcolor import (
     Multigraph,
     Toughness,
     build_family,
+    covertree,
     is_colorable,
     is_critical,
     solver,
@@ -153,6 +156,75 @@ def test_a_prefix_folds_into_the_flags_it_decides(kernel, g, params, data):
     every = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
     expect = any(all(f is None or f == b for f, b in zip(fixed, bits)) for bits in every)
     assert (next(solver._kernel(h, caps, fixed=h_fixed)[0], None) is not None) == expect
+
+
+EQUAL_CELLS = [DefectParams(0, 0), DefectParams(1, 1), DefectParams(2, 2)]
+
+
+@settings(KERNEL_SETTINGS, max_examples=200)
+@given(
+    st.one_of(flagged_multigraphs(), multigraphs(max_n=5, max_edges=8)),
+    st.one_of(st.sampled_from(EQUAL_CELLS), defect_params()),
+    st.data(),
+)
+def test_switching_keeps_every_answer(kernel, g, params, data):
+    # _core fixes to E a spanning forest of the vertices with equal caps, on
+    # top of the prefix: at i = j scalar toughness keeps every vertex among
+    # them and flags keep their bases, while pair toughness takes some out
+    t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
+    fixed = data.draw(st.lists(st.sampled_from((None, 0, 1)), max_size=len(g.edges)))
+    h, caps, bases, h_fixed = solver._core(g, solver._caps(params, t), fixed)
+    every = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
+    expect = any(all(f is None or f == b for f, b in zip(fixed, bits)) for bits in every)
+    assert (next(solver._kernel(h, caps, bases, fixed=h_fixed)[0], None) is not None) == expect
+    assert_matches_oracles(g, params, t)
+
+
+def test_switching_fixes_all_but_one_edge_of_a_cycle_with_flags(monkeypatch):
+    # equal i = 1, m = 8: a 16-cycle core with equal caps everywhere, so the
+    # forest fixes 15 of its edges and the scan decides 2 covers, of 2^32
+    runs = []
+    run = solver._Search.run
+
+    def counted(self, bits, caps):
+        runs.append((bits, caps))
+        return run(self, bits, caps)
+
+    inst = build_family("equal", 1, None, 8)
+    _, core_caps, _, core_fixed = solver._core(
+        inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n))
+    )
+    assert core_fixed.count(None) == 1
+    monkeypatch.setattr(solver._Search, "run", counted)
+    assert is_critical(inst.graph, inst.params, max_covers=2**32)
+    assert len([bits for bits, caps in runs if 2 not in bits and caps == core_caps]) == 2
+
+
+def chorded_cycle(seed: int, n: int, e: int) -> Multigraph:
+    """An n-cycle plus e - n distinct chords drawn by random.Random(seed)."""
+    rng = random.Random(seed)
+    chords = [(u, w) for u in range(n) for w in range(u + 2, n) if (u, w) != (0, n - 1)]
+    return Multigraph(n, [(v, (v + 1) % n) for v in range(n)] + rng.sample(chords, e - n))
+
+
+def test_switching_cuts_the_tree_to_one_cover_per_class(monkeypatch):
+    # a flagless (1, 1) graph with n = 14 and e = 18: 2^(e - n + 1) classes,
+    # where the tree without switching walked all 2^18 - 1 nodes above the
+    # last edge (its slack prune ends every path there, so it counts no leaf)
+    n, e = 14, 18
+    nodes, leaves = [], []
+    walk = covertree._CoverTree.walk
+
+    def counted(self, k, valid):
+        nodes.append(k)
+        if k == len(self.edges):
+            leaves.append(k)
+        return walk(self, k, valid)
+
+    monkeypatch.setattr(covertree._CoverTree, "walk", counted)
+    assert is_colorable(chorded_cycle(1, n, e), DefectParams(1, 1)) == (True, None)
+    assert len(leaves) <= 2 ** (e - n + 1)
+    assert len(nodes) <= (e + 1) * 2 ** (e - n + 1)
 
 
 def test_the_witness_takes_no_scan_at_a_flags_first_edge(monkeypatch):

@@ -236,13 +236,37 @@ def test_is_colorable_matches_double_enumeration_oracle(g, ij):
 KERNEL_SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def sort_bundles(edges: list[tuple[int, int]], fixed: list, bits: list[int]) -> list[int]:
+    """bits with E before O along each bundle: the free edges (past fixed's end,
+    or fixed at None) with the same two ends."""
+    bundles: dict[frozenset[int], list[int]] = {}
+    for e, edge in enumerate(edges):
+        if e >= len(fixed) or fixed[e] is None:
+            bundles.setdefault(frozenset(edge), []).append(e)
+    out = list(bits)
+    for bundle in bundles.values():
+        for e, bit in zip(bundle, sorted(bits[e] for e in bundle)):
+            out[e] = bit
+    return out
+
+
+def assert_kernel_contract(
+    g: Multigraph, params: DefectParams, t: Toughness, fixed: list
+) -> None:
+    # _kernel yields exactly the oracle's bad covers that extend fixed and sort
+    # each free bundle, in lex order; sorting any bad cover's bundles gives one
+    bad = [list(bits) for bits in solver._kernel(g, solver._caps(params, t), fixed=fixed)[0]]
+    edges = list(g.edges)
+    every = oracles.bad_covers(g.n, edges, params.i, params.j, list(t.poor), list(t.rich))
+    extending = [bits for bits in every if all(f is None or f == b for f, b in zip(fixed, bits))]
+    assert bad == [bits for bits in extending if sort_bundles(edges, fixed, bits) == bits]
+    assert all(sort_bundles(edges, fixed, bits) in bad for bits in extending)
+
+
 @KERNEL_SETTINGS
 @given(multigraphs(max_n=7, max_edges=12), defect_params(), st.data())
 def test_bad_covers_match_oracle(kernel, g, params, data):
-    t = data.draw(toughness_for(g.n, params))
-    bad = solver._kernel(g, solver._caps(params, t))[0]
-    expect = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
-    assert [list(bits) for bits in bad] == expect
+    assert_kernel_contract(g, params, data.draw(toughness_for(g.n, params)), [])
 
 
 @KERNEL_SETTINGS
@@ -250,10 +274,17 @@ def test_bad_covers_match_oracle(kernel, g, params, data):
 def test_fixed_parities_keep_the_bad_covers_they_allow(kernel, g, params, data):
     t = data.draw(toughness_for(g.n, params))
     fixed = data.draw(st.lists(st.sampled_from((None, 0, 1)), max_size=len(g.edges)))
-    bad = solver._kernel(g, solver._caps(params, t), fixed=fixed)[0]
-    every = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
-    expect = [bits for bits in every if all(f is None or f == b for f, b in zip(fixed, bits))]
-    assert [list(bits) for bits in bad] == expect
+    assert_kernel_contract(g, params, t, fixed)
+
+
+def test_a_bundle_takes_e_before_o(kernel):
+    # (0, 1) on a triple edge: the bad covers are the three with two Es, and
+    # of those only EEO sorts the bundle; with edge 1 fixed at O, edges 0 and
+    # 2 form the bundle, and only EOE sorts it
+    bad = solver._kernel(TRIPLE, [(1, 0), (1, 0)])[0]
+    assert list(bad) == [(0, 0, 1)]
+    bad = solver._kernel(TRIPLE, [(1, 0), (1, 0)], fixed=[None, 1])[0]
+    assert list(bad) == [(0, 1, 0)]
 
 
 @KERNEL_SETTINGS
