@@ -77,14 +77,9 @@ def is_critical(
     at vertices with equal caps commutes with both, so the scan takes one
     cover per switching class, those that extend the spanning forest
     _core fixes to E, and permuting parallel edges does too, so it takes
-    one cover per bundle order (solver._kernel). The answer
-    depends on no edge order, so H's edges are scanned in degree-first order
-    (solver._degree_first), not G's: the edges among H's busiest vertices
-    come first, where the tree prunes the most. Up to
-    solver._TREE_MAX_VERTICES vertices the scan is the bit-parallel cover
-    tree, and each uncolorable cover's checks are read off its leaf masks;
-    above it, each cover is one branch-and-bound, and so is each check of an
-    uncolorable one.
+    one cover per bundle order. The answer depends on no edge order, so H's
+    edges are scanned in degree-first order (solver._degree_first), and
+    solver._kernel runs the scan and the checks.
     """
     deg = [len(inc) for inc in g.incidence()]
     if 0 in deg:
@@ -154,13 +149,12 @@ def fdp_search(
     budget check depends on the edge count alone, so it is made once at the
     top of each level that has a multiset with no isolated vertex (2e >= n > 1).
     A multiset with a vertex of degree below 2 is skipped: is_critical rejects
-    it under zero toughness. Any other runs is_critical only if its canonical
-    key (_canonical_key) is new; a class seen before was not critical, or the
-    search would have stopped there.
-    is_critical ignores vertex labels and edge order under zero toughness, so
-    every multiset still gets its own verdict in enumeration order: the
-    witness is the first critical multiset, and a BudgetError is raised
-    where it was raised without the cache.
+    it under zero toughness. combinations_with_replacement yields a level in
+    lex order, and each relabeling of a multiset lies on its level, so a
+    class is first reached at its lex-least relabeling. Only that one
+    (_lex_first) runs is_critical, which ignores vertex labels and edge
+    order under zero toughness: the witness is the first critical multiset
+    in enumeration order, and a BudgetError comes at the same level.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -169,7 +163,6 @@ def fdp_search(
     floor = max(math.ceil(edge_bound(params, n)), 1)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     t = Toughness.zero(n)
-    not_critical: set[tuple[tuple[int, int], ...]] = set()
     for e in range(floor, max_edges + 1):
         if 2 * e >= n > 1:
             _parity_vectors(e, max_covers)  # is_critical's budget check, same message
@@ -178,41 +171,42 @@ def fdp_search(
             for u, v in combo:
                 deg[u] += 1
                 deg[v] += 1
-            if 0 in deg or 1 in deg:
-                continue
-            key = _canonical_key(combo, deg)
-            if key in not_critical:
+            if 0 in deg or 1 in deg or not _lex_first(combo, n):
                 continue
             g = Multigraph(n, combo)
             if is_critical(g, params, t, max_covers=max_covers):
                 return e, g
-            not_critical.add(key)
     return None
 
 
-def _canonical_key(
-    edges: Sequence[tuple[int, int]], deg: list[int]
-) -> tuple[tuple[int, int], ...]:
-    """One key per isomorphism class of loop-free multigraphs on len(deg) vertices.
+def _lex_first(combo: Sequence[tuple[int, int]], n: int) -> bool:
+    """Whether no relabeling of the sorted edge tuple combo sorts before it.
 
-    Vertices are ordered by an invariant, their degree and then their sorted
-    neighbour degrees (one per edge instance), and take consecutive labels in
-    that order; the key is the least sorted relabeled edge tuple over the
-    permutations inside each class of equal invariants. An isomorphism maps
-    these labelings of one multigraph onto those of the other, so isomorphic
-    multigraphs get the same key, and the key is itself a relabeling of each
-    multigraph that has it.
+    Sorted edge tuples of one length compare as their pair multiplicities
+    read row by row above the diagonal, greater first. So row 0 must equal
+    the greatest row sorted in falling order, or relabeling that row's
+    vertex to 0, or sorting row 0, sorts earlier. The relabelings that tie
+    on row 0 send a vertex w with that row to 0 and the rest by falling
+    multiplicity to w, in any order within equal multiplicities; each is
+    compared on the remaining pairs.
     """
-    near: list[list[int]] = [[] for _ in deg]
-    for u, v in edges:
-        near[u].append(deg[v])
-        near[v].append(deg[u])
-    invariant = [(d, sorted(ds)) for d, ds in zip(deg, near)]
-    order = sorted(range(len(deg)), key=invariant.__getitem__)
-    classes = [tuple(c) for _, c in groupby(order, key=invariant.__getitem__)]
-
-    def relabeled(perm: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
-        label = {old: new for new, old in enumerate(chain.from_iterable(perm))}
-        return tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in edges))
-
-    return min(map(relabeled, product(*map(permutations, classes))))
+    m = [[0] * n for _ in range(n)]
+    for u, v in combo:
+        m[u][v] += 1
+        m[v][u] += 1
+    top, ties = m[0][1:], []
+    for w, row in enumerate(m):
+        ranked = sorted(row[:w] + row[w + 1 :], reverse=True)
+        if ranked > top:
+            return False
+        if ranked == top:
+            ties.append(w)
+    rest = [m[a][b] for a in range(1, n) for b in range(a + 1, n)]
+    for w in ties:
+        row = m[w]
+        others = sorted(set(range(n)) - {w}, key=row.__getitem__, reverse=True)
+        for perm in product(*(permutations(c) for _, c in groupby(others, key=row.__getitem__))):
+            order = list(chain.from_iterable(perm))
+            if [m[a][b] for k, a in enumerate(order) for b in order[k + 1 :]] > rest:
+                return False
+    return True

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cover import (
@@ -467,13 +466,23 @@ def _kernel(
             search.run(bits[:e] + (2,) + bits[e + 1 :], caps) is not None for e in range(len(bits))
         ) and all(search.run(bits, raised) is not None for raised in relaxed)
 
-    ties = [(t, e) for e, t in enumerate(tie) if t is not None]
-    bad_covers = (
-        bits
-        for bits in product(*choices)
-        if all(bits[t] <= bits[e] for t, e in ties) and search.run(bits, caps) is None
-    )
-    return bad_covers, deletions_colorable
+    def sorted_covers() -> Iterator[tuple[int, ...]]:
+        # lex order: edges from k on take their least parity, O where the
+        # tie took O, then the last one short of its last parity turns O
+        bits, k = [0] * len(choices), 0
+        while k >= 0:
+            for e in range(k, len(bits)):
+                t = tie[e]
+                bits[e] = 1 if t is not None and bits[t] else choices[e][0]
+            yield tuple(bits)
+            k = len(bits) - 1
+            while k >= 0 and bits[k] == choices[k][-1]:
+                k -= 1
+            if k >= 0:
+                bits[k] = 1
+                k += 1
+
+    return (bits for bits in sorted_covers() if search.run(bits, caps) is None), deletions_colorable
 
 
 def _scan_critical(

@@ -169,3 +169,10 @@ def isomorphic(n: int, a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bo
     return any(
         sorted(tuple(sorted((p[u], p[v]))) for u, v in a) == want for p in permutations(range(n))
     )
+
+
+def first_relabeling(n: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The least sorted edge tuple over all n! relabelings of edge multiset edges."""
+    return min(
+        tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)) for p in permutations(range(n))
+    )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (
     defect_params,
-    every_small_multigraph,
     flagged_multigraphs,
     multigraphs,
     toughness_for,
@@ -31,8 +31,9 @@ from dpcolor import (
     is_colorable,
     is_critical,
 )
+from dpcolor import critical
 from dpcolor.cli import main
-from dpcolor.critical import _canonical_key
+from dpcolor.critical import _lex_first
 
 TRIPLE = Multigraph(2, [(0, 1)] * 3)
 P01 = DefectParams(0, 1)
@@ -165,53 +166,52 @@ def test_is_critical_matches_oracle_on_every_small_multiset():
                     assert is_critical(Multigraph(n, combo), DefectParams(i, j)) == expected
 
 
-def _key(n, edges):
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return _canonical_key(edges, deg)
+def _sorted_edges(n, edges):
+    return tuple(sorted(tuple(sorted(edge)) for edge in edges))
+
+
+def test_lex_first_matches_the_oracle_on_every_small_multiset():
+    # every level-e multiset on n <= 5 vertices, up to 6 edges (5 at n = 5)
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for e in range(7 if n < 5 else 6):
+            for combo in combinations_with_replacement(pairs, e):
+                first = oracles.first_relabeling(n, list(combo))
+                assert _lex_first(combo, n) == (combo == first), combo
+                assert _lex_first(first, n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(multigraphs(max_n=6, max_edges=10, min_n=1), st.data())
-def test_canonical_key_ignores_labels_and_edge_order(g, data):
-    perm = data.draw(st.permutations(range(g.n)))
-    shuffled = data.draw(st.permutations([(perm[u], perm[v]) for u, v in g.edges]))
-    assert _key(g.n, shuffled) == _key(g.n, list(g.edges))
-
-
-@settings(max_examples=300, deadline=None)
-@given(multigraphs(max_n=6, max_edges=10, min_n=1), st.data())
-def test_equal_canonical_keys_only_for_isomorphic_multisets(g, data):
-    # the second multiset is a relabeling of the first with up to two edges
-    # moved, so it often keeps the degree sequence without being isomorphic
-    n, a = g.n, list(g.edges)
+def test_lex_first_matches_the_oracle(g, data):
+    # a random relabeling of the drawn multiset, and one that ties with the
+    # least on row 0: a vertex with the greatest row sorted in falling order
+    # goes to 0, the rest by falling multiplicity to it, ties in random order
+    n = g.n
+    mult = Counter(frozenset(edge) for edge in g.edges)
+    rows = [sorted([mult[frozenset((w, x))] for x in range(n) if x != w])[::-1] for w in range(n)]
+    w = data.draw(st.sampled_from([v for v in range(n) if rows[v] == max(rows)]))
+    others = data.draw(st.permutations([x for x in range(n) if x != w]))
+    tied = [w, *sorted(others, key=lambda x: -mult[frozenset((w, x))])]
     perm = data.draw(st.permutations(range(n)))
-    b = [(perm[u], perm[v]) for u, v in a]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(data.draw(st.integers(0, 2)) if b else 0):
-        b[data.draw(st.integers(0, len(b) - 1))] = data.draw(st.sampled_from(pairs))
-    assert (_key(n, a) == _key(n, b)) == oracles.isomorphic(n, a, b)
+    first = oracles.first_relabeling(n, list(g.edges))
+    for label in (perm, [tied.index(v) for v in range(n)]):
+        combo = _sorted_edges(n, [(label[u], label[v]) for u, v in g.edges])
+        assert _lex_first(combo, n) == (combo == first)
+    assert _lex_first(first, n)
 
 
-def test_canonical_key_is_a_class_invariant_on_small_multisets():
-    # a key that is a relabeling of its multiset and the same for every
-    # relabeling is exact: equal keys then mean isomorphic multisets
-    c6 = Multigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
-    two_triangles = Multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    k33 = Multigraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    prism = Multigraph(6, list(two_triangles.edges) + [(0, 3), (1, 4), (2, 5)])
-    # regular graphs give every vertex the same invariant, so all n! labelings are tried
-    for g in (c6, two_triangles, k33, prism):
-        assert oracles.isomorphic(6, list(g.edges), list(_key(6, g.edges)))
-    assert _key(6, c6.edges) != _key(6, two_triangles.edges)
-    assert _key(6, k33.edges) != _key(6, prism.edges)
-    for g in every_small_multigraph(max_n=4, max_edges=5):
-        key = _key(g.n, g.edges)
-        assert oracles.isomorphic(g.n, list(g.edges), list(key))
-        for p in permutations(range(g.n)):
-            assert _key(g.n, [(p[u], p[v]) for u, v in g.edges]) == key
+def test_lex_first_passes_one_relabeling_of_each_regular_graph():
+    # every vertex ties on row 0, so the relabelings are told apart by the later rows
+    c6 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
+    two_triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+    prism = two_triangles + [(0, 3), (1, 4), (2, 5)]
+    for edges in (c6, two_triangles, k33, prism, prism + c6):
+        relabelings = {
+            _sorted_edges(6, [(p[u], p[v]) for u, v in edges]) for p in permutations(range(6))
+        }
+        assert [c for c in relabelings if _lex_first(c, 6)] == [oracles.first_relabeling(6, edges)]
 
 
 def _first_critical_multiset(params, n, max_edges):
@@ -255,6 +255,26 @@ def test_fdp_search_matches_uncached_reference(i, j, n, max_edges):
 def test_fdp_search_five_vertex_witnesses(i, j, witness):
     edges = [(int(uv[0]), int(uv[1])) for uv in witness.split()]
     assert fdp_search(DefectParams(i, j), 5) == (len(edges), Multigraph(5, edges))
+
+
+@pytest.mark.parametrize(
+    "i, j, verdicts", [(0, 1, 3), (0, 2, 3), (1, 1, 18), (1, 2, 52), (1, 3, 44)]
+)
+def test_fdp_search_decides_each_class_once(monkeypatch, i, j, verdicts):
+    # one is_critical call per isomorphism class with minimum degree 2 up to
+    # the witness's, as when each class's verdict was cached by a canonical key
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return is_critical(g, *args, **kwargs)
+
+    monkeypatch.setattr(critical, "is_critical", counted)
+    found = fdp_search(DefectParams(i, j), 5)
+    assert len(calls) == verdicts
+    assert calls[-1] == found[1]
+    for k, g in enumerate(calls):
+        assert not any(oracles.isomorphic(5, list(g.edges), list(h.edges)) for h in calls[:k])
 
 
 def test_fdp_budget_raises_where_the_uncached_search_did(capsys):

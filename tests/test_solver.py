@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -285,6 +285,24 @@ def test_a_bundle_takes_e_before_o(kernel):
     assert list(bad) == [(0, 0, 1)]
     bad = solver._kernel(TRIPLE, [(1, 0), (1, 0)], fixed=[None, 1])[0]
     assert list(bad) == [(0, 1, 0)]
+
+
+def test_every_cover_that_sorts_its_bundles_comes_in_lex_order(kernel):
+    # with every cap negative, every cover is bad, so the kernel yields each
+    # cover it generates: those that extend fixed and sort each bundle, here
+    # three interleaved bundles of which one holds a fixed edge
+    g = Multigraph(4, [(0, 1), (1, 2), (1, 0), (2, 3), (2, 1), (0, 1), (3, 2), (1, 2)])
+    for fixed in ([], [None, 1], [None, None, None, 0, None, 1]):
+        bad = list(solver._kernel(g, [(-1, -1)] * 4, fixed=fixed)[0])
+        free = [e >= len(fixed) or fixed[e] is None for e in range(len(g.edges))]
+        every = [
+            list(bits)
+            for bits in product((0, 1), repeat=len(g.edges))
+            if all(f or bit == fixed[e] for e, (f, bit) in enumerate(zip(free, bits)))
+        ]
+        assert [list(bits) for bits in bad] == [
+            bits for bits in every if sort_bundles(list(g.edges), fixed, bits) == bits
+        ]
 
 
 @KERNEL_SETTINGS
