@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .constructions import FAMILIES, CountMismatch, build_family
-from .cover import DEFAULT_MAX_COVERS, _parity_vectors, load_cover, save_cover
+from .cover import DEFAULT_MAX_COVERS, _check_covers, load_cover, save_cover
 from .critical import (
     DEFAULT_MAX_SEARCH_EDGES,
     DEFAULT_MAX_SEARCH_VERTICES as SEARCH_MAX_VERTICES,
@@ -272,7 +272,7 @@ def _verify_cell(inst, max_covers: int, badcover_n: int, potential_n: int) -> di
     def critical() -> bool:
         # is_critical's own budget check, made before the call as fdp_search
         # makes it: bench/tracer.py records a traced call's work only when it returns
-        _parity_vectors(len(g.edges), max_covers)
+        _check_covers(len(g.edges), max_covers)
         return is_critical(g, params, max_covers=max_covers)
 
     cells["critical"] = _verdict(critical)

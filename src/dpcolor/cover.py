@@ -66,10 +66,6 @@ class PhiMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sides", tuple([Side(s) for s in self.sides]))
 
-    @classmethod
-    def all_rich(cls, n: int) -> PhiMap:
-        return cls((Side.RICH,) * n)
-
     def letters(self) -> str:
         return "".join(s.letter for s in self.sides)
 
@@ -103,23 +99,6 @@ def conflict_degrees(g: Multigraph, c: Cover, phi: PhiMap) -> list[int]:
             conf[u] += 1
             conf[v] += 1
     return conf
-
-
-def conflict_degree(g: Multigraph, c: Cover, phi: PhiMap, v: int) -> int:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range [0, {g.n})")
-    return conflict_degrees(g, c, phi)[v]
-
-
-def conflict_total(g: Multigraph, c: Cover, phi: PhiMap) -> int:
-    """Number of conflicting edge instances."""
-    _check_cover(g, c)
-    _check_phi(g, phi)
-    return sum(
-        1
-        for e, (u, v) in enumerate(g.edges)
-        if edge_conflicts(c.parities[e], phi.sides[u], phi.sides[v])
-    )
 
 
 def _checked(g: Multigraph, params: DefectParams, t: Toughness | None) -> Toughness:
@@ -164,16 +143,16 @@ def cover_index(c: Cover) -> int:
     return k
 
 
-def _parity_vectors(m: int, max_covers: int) -> Iterator[tuple[int, ...]]:
-    """All 2^m parity vectors in lex order (edge 0 most significant, E < O), within budget."""
+def _check_covers(m: int, max_covers: int) -> None:
+    """Refuse the 2^m covers of m edges beyond max_covers: the one statement of the budget."""
     if (1 << m) > max_covers:
         raise BudgetError(f"2^{m} covers exceed the limit of {max_covers}")
-    return product((0, 1), repeat=m)
 
 
 def all_covers(g: Multigraph, max_covers: int = DEFAULT_MAX_COVERS) -> Iterator[Cover]:
     """All 2^|E| covers in lexicographic parity order; refuses oversized graphs."""
-    for bits in _parity_vectors(len(g.edges), max_covers):
+    _check_covers(len(g.edges), max_covers)
+    for bits in product((0, 1), repeat=len(g.edges)):
         yield Cover(bits)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, groupby, permutations, product
 
-from .cover import DEFAULT_MAX_COVERS, _caps, _parity_vectors
+from .cover import DEFAULT_MAX_COVERS, _caps, _check_covers
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 from .potential import (
     _POTENTIAL_REGIMES,
@@ -165,7 +165,7 @@ def fdp_search(
     t = Toughness.zero(n)
     for e in range(floor, max_edges + 1):
         if 2 * e >= n > 1:
-            _parity_vectors(e, max_covers)  # is_critical's budget check, same message
+            _check_covers(e, max_covers)  # is_critical's budget check, same message
         for combo in combinations_with_replacement(pairs, e):
             deg = [0] * n
             for u, v in combo:

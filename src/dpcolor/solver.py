@@ -12,8 +12,8 @@ from .cover import (
     PhiMap,
     _caps,
     _check_cover,
+    _check_covers,
     _checked,
-    _parity_vectors,
 )
 from .covertree import _CoverTree
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
@@ -33,25 +33,21 @@ class _Search:
     Vertices are assigned busiest first (_busiest_first), rich side first. A
     branch dies as soon as any assigned vertex's conflict count over decided
     edges exceeds its cap; counts only grow deeper in the tree, so the prune
-    is sound and the first leaf reached is the deterministic witness. An
-    isolated vertex never conflicts, so it takes its first side with a
-    non-negative cap, rich first, before the search, which walks only the
-    non-isolated vertices.
+    is sound and the first leaf reached is the deterministic witness.
+    Isolated vertices come last and never conflict, so each takes its first
+    side with a non-negative cap, rich first, and is never backtracked into.
     """
 
     def __init__(self, g: Multigraph):
         self.n = g.n
         self.incident = g.incidence()
-        self.order = [v for v in _busiest_first(self.incident) if self.incident[v]]
-        self.isolated = [v for v in range(g.n) if not self.incident[v]]
+        self.order = _busiest_first(self.incident)
 
     def run(self, parity_bits: Sequence[int], cap: Caps) -> list[int] | None:
         """The first side map within cap under parity_bits, or None."""
         if min(map(max, cap), default=0) < 0:  # a vertex with neither side
             return None
         sides = [-1] * self.n
-        for v in self.isolated:
-            sides[v] = int(cap[v][0] < 0)
         conf = [0] * self.n
         incident = self.incident
         order = self.order
@@ -105,7 +101,7 @@ def _scan_checked(
 ) -> Toughness:
     """The checks every all-cover scan makes at its call: the budget on G's raw
     2^|E| covers, then G's toughness."""
-    _parity_vectors(len(g.edges), max_covers)
+    _check_covers(len(g.edges), max_covers)
     return _checked(g, params, t)
 
 
@@ -389,9 +385,14 @@ def is_colorable(
     first cover with no coloring: edge 0 most significant, E < O.
     max_covers bounds G's raw 2^|E|.
 
-    Every question goes through g's core (_core): whether g has a bad cover
-    extending a parity prefix is whether the core has one extending the
-    prefix's image, extended by switching. The verdict is the empty prefix.
+    After the budget and toughness checks, the isolated vertices with a
+    side go: they never conflict, so no cover's verdict turns on them, and
+    no edge goes with them, so edge ids, prefixes and the witness stay as
+    they are. An isolated vertex with neither side stays and makes every
+    cover bad. Every question then goes through g's core (_core): whether g
+    has a bad cover extending a parity prefix is whether the core has one
+    extending the prefix's image, extended by switching. The verdict is the
+    empty prefix.
     For the witness, g's edges are then fixed one at a time in g's order, E
     kept while a bad cover extends the prefix. When fixing E leaves the core,
     its caps and its fixed parities as they were, as at a flag's first edge,
@@ -403,6 +404,9 @@ def is_colorable(
     lex-first. Block probes are memoized for the whole process (_gadget).
     """
     caps = _caps(params, _scan_checked(g, params, t, max_covers))
+    incident = g.incidence()
+    g, keep = g.induced_subgraph(v for v in range(g.n) if incident[v] or max(caps[v]) < 0)
+    caps = [caps[v] for v in keep]
     h, h_caps, _, h_fixed = core = _core(g, caps)
     if next(_kernel(h, h_caps, fixed=h_fixed)[0], None) is None:
         return True, None

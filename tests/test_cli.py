@@ -93,13 +93,53 @@ class TestColor:
         )
         assert code == 2 and "symmetric" in err
 
+    def test_greedy_prints_its_map(self, capsys, tmp_path):
+        gpath, cpath = str(tmp_path / "g"), str(tmp_path / "c")
+        save_graph(gpath, Multigraph(4, [(0, 1), (2, 3)]))
+        save_cover(cpath, Cover((Parity.ODD, Parity.ODD)))
+        code, out, _ = run(
+            capsys, "color", "--graph", gpath, "--cover", cpath,
+            "--i", "1", "--j", "1", "--solver", "greedy",
+        )
+        assert code == 0
+        assert out.splitlines() == ["v 0 R", "v 1 R", "v 2 R", "v 3 R"]
+
+    def test_greedy_reports_its_failure(self, capsys, tmp_path):
+        # the triple edge under EEO beats the flip repair at i = 0
+        gpath, cpath = str(tmp_path / "g"), str(tmp_path / "c")
+        save_graph(gpath, Multigraph(2, [(0, 1)] * 3))
+        save_cover(cpath, Cover((Parity.EVEN, Parity.EVEN, Parity.ODD)))
+        code, out, _ = run(
+            capsys, "color", "--graph", gpath, "--cover", cpath,
+            "--i", "0", "--j", "0", "--solver", "greedy",
+        )
+        assert code == 0 and out.splitlines() == ["GREEDY FAILED"]
+
+    def test_greedy_refuses_toughness(self, capsys, tmp_path):
+        gpath, cpath = tmp_path / "g", str(tmp_path / "c")
+        gpath.write_text("graph 2\ne 0 1\nt 0 1\n")
+        save_cover(cpath, Cover((Parity.EVEN,)))
+        code, out, err = run(
+            capsys, "color", "--graph", str(gpath), "--cover", cpath,
+            "--i", "1", "--j", "1", "--solver", "greedy",
+        )
+        assert (code, out) == (2, "") and "zero toughness" in err
+
     def test_parse_error_names_line(self, capsys, tmp_path):
         gpath = tmp_path / "g"
         gpath.write_text("graph 2\ne 0 5\n")
         cpath = str(tmp_path / "c")
         save_cover(cpath, Cover(()))
         code, _, err = run(capsys, "color", "--graph", str(gpath), "--cover", cpath, "--i", "0", "--j", "0")
-        assert code == 2 and "line 2" in err
+        assert code == 2 and err.startswith("error: line 2: ")
+
+    def test_cover_parse_error_names_line(self, capsys, tmp_path):
+        gpath = str(tmp_path / "g")
+        save_graph(gpath, Multigraph(2, [(0, 1)]))
+        cpath = tmp_path / "c"
+        cpath.write_text("cover 1\n\np 0 E\np 1 O\n")
+        code, out, err = run(capsys, "color", "--graph", gpath, "--cover", str(cpath), "--i", "0", "--j", "0")
+        assert (code, out) == (2, "") and err.startswith("error: line 4: ")
 
 
 class TestDecisionCommands:
@@ -114,6 +154,12 @@ class TestDecisionCommands:
         assert code == 0
         assert out.splitlines()[0] == "NOT COLORABLE"
         assert out.splitlines()[1].startswith("witness ")
+
+    def test_colorable_prints_colorable(self, capsys, tmp_path):
+        path = str(tmp_path / "g")
+        save_graph(path, Multigraph(2, [(0, 1)]))
+        code, out, _ = run(capsys, "colorable", "--graph", path, "--i", "0", "--j", "0")
+        assert code == 0 and out.splitlines() == ["COLORABLE"]
 
     def test_critical(self, capsys, zeroj_file):
         code, out, _ = run(capsys, "critical", "--graph", zeroj_file, "--i", "0", "--j", "1")
@@ -152,6 +198,12 @@ class TestDecisionCommands:
     def test_sparsity(self, capsys, zeroj_file):
         code, out, _ = run(capsys, "sparsity", "--graph", zeroj_file, "--i", "0", "--j", "1")
         assert code == 0 and out.splitlines()[0] == "NO GUARANTEE"
+
+    def test_sparsity_guarantee(self, capsys, tmp_path):
+        path = str(tmp_path / "g")
+        save_graph(path, Multigraph(3, [(0, 1), (1, 2)]))
+        code, out, _ = run(capsys, "sparsity", "--graph", path, "--i", "0", "--j", "1")
+        assert code == 0 and out.splitlines() == ["GUARANTEE"]
 
     def test_fdp(self, capsys):
         code, out, _ = run(capsys, "fdp", "--i", "0", "--j", "1", "--n", "2")
@@ -218,9 +270,9 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--family", "zeroj", "--j", "1")
         assert code == 2 and "--m" in err
 
-    @pytest.mark.parametrize("m", ["", ","])
+    @pytest.mark.parametrize("m", ["", ",", "1,x"])
     def test_a_grid_with_no_integer_is_refused(self, capsys, m):
-        # it would verify no row and pass
+        # an empty grid would verify no row and pass; a non-integer is refused the same way
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--family", "equal", "--i", "1", "--m", m])
         err = capsys.readouterr().err

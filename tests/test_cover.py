@@ -19,11 +19,10 @@ from dpcolor import (
     Side,
     Toughness,
     all_covers,
-    conflict_degree,
     conflict_degrees,
-    conflict_total,
     cover_from_index,
     cover_index,
+    edge_conflicts,
     format_cover,
     is_valid_coloring,
     parse_cover,
@@ -38,8 +37,8 @@ EDGE = Multigraph(2, [(0, 1)])
 class TestConflictDegree:
     def test_even_edge_joins_equal_sides(self):
         c = Cover((E,))
-        assert conflict_degree(EDGE, c, PhiMap((R, R)), 0) == 1
-        assert conflict_degree(EDGE, c, PhiMap((R, R)), 1) == 1
+        assert conflict_degrees(EDGE, c, PhiMap((R, R)))[0] == 1
+        assert conflict_degrees(EDGE, c, PhiMap((R, R)))[1] == 1
         assert conflict_degrees(EDGE, c, PhiMap((R, P))) == [0, 0]
 
     def test_odd_edge_joins_opposite_sides(self):
@@ -55,7 +54,7 @@ class TestConflictDegree:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            conflict_degree(EDGE, Cover(()), PhiMap((R, R)), 0)
+            conflict_degrees(EDGE, Cover(()), PhiMap((R, R)))
 
 
 class TestValidity:
@@ -118,7 +117,10 @@ def test_conflict_degree_sum_is_twice_conflicting_edges(pair, data):
         st.lists(st.sampled_from((R, P)), min_size=g.n, max_size=g.n)
     )
     phi = PhiMap(tuple(sides))
-    assert sum(conflict_degrees(g, c, phi)) == 2 * conflict_total(g, c, phi)
+    conflicting = sum(
+        edge_conflicts(c.parities[e], phi.sides[u], phi.sides[v]) for e, (u, v) in enumerate(g.edges)
+    )
+    assert sum(conflict_degrees(g, c, phi)) == 2 * conflicting
 
 
 @given(graph_cover_pairs(), st.data())
@@ -147,8 +149,6 @@ def test_flip_parity_and_endpoint_side_preserves_conflict(pair, data):
     now = conflict_degrees(g, c2, phi2)
     assert now == after
     # check the edge e directly
-    from dpcolor import edge_conflicts
-
     uu, vv = g.edges[e]
     assert edge_conflicts(c.parities[e], phi1.sides[uu], phi1.sides[vv]) == edge_conflicts(
         c2.parities[e], phi2.sides[uu], phi2.sides[vv]
@@ -207,3 +207,24 @@ class TestCoverFormat:
     def test_missing_header(self):
         with pytest.raises(FormatError):
             parse_cover("p 0 E\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("cover 1\ncover 1\n", 2, "duplicate 'cover' header"),
+            ("cover\n", 1, "expected 'cover <m>'"),
+            ("cover one\n", 1, "edge count is not an integer"),
+            ("cover -1\n", 1, "edge count must be non-negative"),
+            ("# first\np 0 E\n", 2, "expected 'cover <m>' before 'p'"),
+            ("cover 1\nq 0 E\n", 2, "expected 'p <edgeId> E|O'"),
+            ("cover 1\np 0\n", 2, "expected 'p <edgeId> E|O'"),
+            ("cover 1\np x E\n", 2, "edge id is not an integer"),
+            ("cover 1\np 1 E\n", 2, "edge id out of range [0, 1)"),
+            ("cover 2\np 0 E\n\np 0 O\n", 4, "duplicate parity for edge 0"),
+            ("cover 1\np 0 X\n", 2, "parity must be 'E' or 'O', got 'X'"),
+        ],
+    )
+    def test_each_malformed_line_is_named(self, text, line, message):
+        with pytest.raises(FormatError) as exc:
+            parse_cover(text)
+        assert str(exc.value) == f"line {line}: {message}"

@@ -199,3 +199,37 @@ class TestFileFormat:
     def test_duplicate_toughness_rejected(self):
         with pytest.raises(FormatError, match="duplicate toughness"):
             parse_graph("graph 2\nt 0 1\nt 0 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("graph 2\ngraph 3\n", 2, "duplicate 'graph' header"),
+        ("graph\n", 1, "expected 'graph <n>'"),
+        ("graph two\n", 1, "vertex count is not an integer: 'two'"),
+        ("graph -1\n", 1, "vertex count must be non-negative"),
+        ("# first\ne 0 1\n", 2, "expected 'graph <n>' before 'e'"),
+        ("graph 2\ne 0\n", 2, "expected 'e <u> <v>'"),
+        ("graph 2\ne 0 x\n", 2, "endpoint is not an integer: 'x'"),
+        ("graph 2\ne 0 2\n", 2, "endpoint out of range [0, 2)"),
+        ("graph 2\ne 1 1\n", 2, "loop at vertex 1"),
+        ("graph 2\nt2 0 0 0\nt 1 1\n", 3, "'t' after 't2'; one kind per file"),
+        ("graph 2\nt 0\n", 2, "expected 't <v> <k>'"),
+        ("graph 2\nt 0 x\n", 2, "toughness is not an integer: 'x'"),
+        ("graph 2\nt 2 1\n", 2, "vertex out of range [0, 2)"),
+        ("graph 2\nt 0 -1\n", 2, "toughness must be non-negative"),
+        ("graph 2\nt 0 1\n\nt 0 2\n", 4, "duplicate toughness for vertex 0"),
+        ("graph 2\nt 0 1\nt2 1 0 0\n", 3, "'t2' after 't'; one kind per file"),
+        ("graph 2\nt2 0 0\n", 2, "expected 't2 <v> <tp> <tr>'"),
+        ("graph 2\nt2 0 x 0\n", 2, "poor toughness is not an integer: 'x'"),
+        ("graph 2\nt2 0 0 x\n", 2, "rich toughness is not an integer: 'x'"),
+        ("graph 2\nt2 2 0 0\n", 2, "vertex out of range [0, 2)"),
+        ("graph 2\nt2 0 -1 0\n", 2, "toughness must be non-negative"),
+        ("graph 2\nt2 0 0 0\nt2 0 1 1\n", 3, "duplicate toughness for vertex 0"),
+        ("graph 1\nq 0\n", 2, "unknown directive 'q'"),
+    ],
+)
+def test_each_malformed_graph_line_is_named(text, line, message):
+    with pytest.raises(FormatError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == f"line {line}: {message}"

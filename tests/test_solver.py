@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sys
 from itertools import combinations_with_replacement, product
 
@@ -23,6 +24,7 @@ from dpcolor import (
     Multigraph,
     Parity,
     PhiMap,
+    Side,
     Toughness,
     build_equal,
     build_large,
@@ -44,7 +46,7 @@ class TestExhaustive:
     def test_edgeless_returns_all_rich(self):
         g = Multigraph(4, ())
         phi = exhaustive_color(g, Cover(()), DefectParams(0, 0))
-        assert phi == PhiMap.all_rich(4)
+        assert phi == PhiMap((Side.RICH,) * 4)
 
     def test_odd_cycle_all_even_has_no_proper_two_coloring(self):
         c3 = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -148,7 +150,7 @@ class TestGreedy:
     def test_low_degree_graph_stays_all_rich(self):
         g = Multigraph(4, [(0, 1), (2, 3)])
         phi = greedy_color(g, Cover((O, O)), 1)
-        assert phi == PhiMap.all_rich(4)
+        assert phi == PhiMap((Side.RICH,) * 4)
 
     def test_failure_is_none_not_an_exception(self):
         # the triple edge violates d(v) + 1 <= 2(i+1) for i = 0 and can fail
@@ -403,11 +405,55 @@ def test_deletion_check_matches_oracle_on_every_small_multiset(kernel):
 
 @pytest.mark.parametrize("ij", [(0, 0), (0, 1), (1, 1)])
 def test_isolated_vertices_stay_out_of_the_recursion(ij):
-    # 1094 isolated vertices on a 6-vertex path: beyond the tree's vertex cap,
-    # and deeper than the interpreter's recursion limit if each were a level
+    # 1094 isolated vertices on a 6-vertex path: deeper than the interpreter's
+    # recursion limit if each were a level of a recursive search
     path = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
     params = DefectParams(*ij)
     assert is_colorable(Multigraph(1100, path), params) == is_colorable(Multigraph(6, path), params)
+    # is_colorable drops them; exhaustive_color searches them, each rich after the path
+    c = Cover((E,) * 5)
+    phi = exhaustive_color(Multigraph(1100, path), c, params, max_vertices=1100)
+    assert phi.sides == exhaustive_color(Multigraph(6, path), c, params).sides + (Side.RICH,) * 1094
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A multigraph on up to four vertices plus one to three isolated ones, relabeled at random."""
+    g = draw(multigraphs(max_n=4, max_edges=6))
+    n = g.n + draw(st.integers(1, 3))
+    label = draw(st.permutations(range(n)))
+    return Multigraph(n, tuple((label[u], label[v]) for u, v in g.edges))
+
+
+@settings(KERNEL_SETTINGS, max_examples=300)
+@given(graphs_with_isolated_vertices(), defect_params(), st.data())
+def test_isolated_vertices_change_no_verdict_or_witness(kernel, g, params, data):
+    # toughness j + 1 (scalar, above i) or (i + 1, j + 1) leaves a vertex with no side
+    t = data.draw(toughness_for(g.n, params))
+    args = (g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
+    first = oracles.first_bad_cover(*args)
+    ok, witness = is_colorable(g, params, t)
+    assert ok == oracles.colorable(*args) == (first is None)
+    assert (witness and [int(p) for p in witness.parities]) == first
+
+
+def test_isolated_vertices_leave_before_the_scan(monkeypatch):
+    # a 14-vertex graph plus one isolated vertex: every scan sees the 14,
+    # which keeps it on the cover tree
+    r = random.Random(5)
+    edges = [(v, (v + 1) % 14) for v in range(14)]
+    while len(edges) < 20:
+        edges.append(tuple(r.sample(range(14), 2)))
+    scanned = []
+    kernel = solver._kernel
+
+    def counted(g, *args, **kwargs):
+        scanned.append(g.n)
+        return kernel(g, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_kernel", counted)
+    assert is_colorable(Multigraph(15, edges), DefectParams(1, 2)) == (True, None)
+    assert scanned and set(scanned) == {14}
 
 
 def test_isolated_vertex_without_a_side_rules_out_every_map():
