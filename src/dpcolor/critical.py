@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, groupby, permutations, product
+from itertools import chain, combinations_with_replacement, compress, groupby, permutations, product
 
 from .cover import DEFAULT_MAX_COVERS, _caps, _check_covers
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
@@ -143,40 +143,80 @@ def fdp_search(
 ) -> tuple[int, Multigraph] | None:
     """Smallest edge count of an n-vertex critical multigraph, with a witness.
 
-    Enumerates every edge multiset over the unordered vertex pairs, starting
-    at the regime lower bound (nothing below it can be critical) and giving
-    up above max_edges, and decides each isomorphism class once. is_critical's
-    budget check depends on the edge count alone, so it is made once at the
-    top of each level that has a multiset with no isolated vertex (2e >= n > 1).
-    A multiset with a vertex of degree below 2 is skipped: is_critical rejects
-    it under zero toughness. combinations_with_replacement yields a level in
-    lex order, and each relabeling of a multiset lies on its level, so a
-    class is first reached at its lex-least relabeling. Only that one
-    (_lex_first) runs is_critical, which ignores vertex labels and edge
-    order under zero toughness: the witness is the first critical multiset
-    in enumeration order, and a BudgetError comes at the same level.
+    Walks the edge multisets over the unordered vertex pairs level by level
+    in combinations_with_replacement order, starting at the regime lower
+    bound (nothing below it can be critical) and giving up above max_edges,
+    and decides each isomorphism class once. is_critical's budget check
+    depends on the edge count alone, so it is made once at the top of each
+    level that has a multiset with no isolated vertex (2e >= n > 1). Each
+    relabeling of a multiset lies on its level, so a class is first reached
+    at its lex-least relabeling (_lex_first). _level yields just those with
+    minimum degree 2, as is_critical rejects a vertex of degree below 2
+    under zero toughness, and builds no other multiset. is_critical ignores
+    vertex labels and edge order under zero toughness: the witness is the
+    first critical multiset in enumeration order, and a BudgetError comes
+    at the same level.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > max_vertices:
         raise BudgetError(f"n = {n} exceeds the search limit of {max_vertices}")
     floor = max(math.ceil(edge_bound(params, n)), 1)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     t = Toughness.zero(n)
     for e in range(floor, max_edges + 1):
         if 2 * e >= n > 1:
             _check_covers(e, max_covers)  # is_critical's budget check, same message
-        for combo in combinations_with_replacement(pairs, e):
-            deg = [0] * n
-            for u, v in combo:
-                deg[u] += 1
-                deg[v] += 1
-            if 0 in deg or 1 in deg or not _lex_first(combo, n):
-                continue
+        for combo in _level(n, e):
             g = Multigraph(n, combo)
             if is_critical(g, params, t, max_covers=max_covers):
                 return e, g
     return None
+
+
+def _level(n: int, e: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The e-edge multisets on n vertices with minimum degree 2 that pass
+    _lex_first, in combinations_with_replacement order over all pairs.
+
+    That order is row 0's multiplicities in falling lex order, then the
+    rest's. _lex_first rejects a row 0 that rises, so only falling rows 0
+    are walked, each followed by every multiset of the pairs among 1..n-1
+    that fills the level. Those come in lockstep with multisets of packed
+    pair codes, one field per vertex 1..n-1 with a guard bit on top, so
+    the sum of a code multiset holds each vertex's degree in the rest.
+    Adding guard + row 0's multiplicity - 2 to each field leaves its guard
+    bit set exactly when that vertex's degree is at least 2; a degree is
+    at most e, so no field carries into the next.
+    """
+    width = e.bit_length() + 1
+    guard = 1 << width - 1
+    rest = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
+    codes = [(1 << width * (u - 1)) + (1 << width * (v - 1)) for u, v in rest]
+    guards = sum(guard << width * (v - 1) for v in range(1, n))
+    for row in _falling_rows(n - 1, e, e):
+        if sum(row) < 2:
+            continue  # vertex 0's degree
+        # from a list: tuple() of a generator is resized, and each row's head
+        # would leave one more block on a tuple free list
+        head = tuple([(0, v) for v, m in enumerate(row, 1) for _ in range(m)])
+        lift = sum(guard + m - 2 << width * (v - 1) for v, m in enumerate(row, 1))
+        k = e - len(head)
+        sums = map(lift.__add__, map(sum, combinations_with_replacement(codes, k)))
+        degree_two = map(guards.__eq__, map(guards.__and__, sums))
+        for tail in compress(combinations_with_replacement(rest, k), degree_two):
+            combo = head + tail
+            if _lex_first(combo, n):
+                yield combo
+
+
+def _falling_rows(length: int, total: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing vectors of length entries, each at most top, with sum
+    at most total, in falling lex order."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(min(top, total), -1, -1):
+        for tail in _falling_rows(length - 1, total - first, first):
+            yield (first, *tail)
 
 
 def _lex_first(combo: Sequence[tuple[int, int]], n: int) -> bool:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,7 +33,7 @@ from dpcolor import (
 )
 from dpcolor import critical
 from dpcolor.cli import main
-from dpcolor.critical import _lex_first
+from dpcolor.critical import _level, _lex_first
 
 TRIPLE = Multigraph(2, [(0, 1)] * 3)
 P01 = DefectParams(0, 1)
@@ -289,6 +289,83 @@ def test_fdp_checks_no_budget_on_a_level_with_no_multiset():
     # one vertex has no pair to join, so no level holds a multiset and no
     # level may refuse its 2^e covers
     assert fdp_search(DefectParams(0, 1), 1, max_covers=1) is None
+
+
+def _reference_level(n, e):
+    """fdp_search's level as a plain loop: every multiset over all pairs,
+    a degree count, then _lex_first."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for combo in combinations_with_replacement(pairs, e):
+        deg = [0] * n
+        for u, v in combo:
+            deg[u] += 1
+            deg[v] += 1
+        if 0 not in deg and 1 not in deg and _lex_first(combo, n):
+            yield combo
+
+
+# the packed degree field gains a bit between 1|2, 3|4, 7|8 and 15|16 edges;
+# at n = 3 a vertex can take every edge, and the levels run past all four
+@pytest.mark.parametrize("n, max_edges", [(1, 10), (2, 10), (3, 16), (4, 10), (5, 10), (6, 8)])
+def test_level_matches_the_reference_loop(n, max_edges):
+    for e in range(max_edges + 1):
+        assert list(_level(n, e)) == list(_reference_level(n, e)), e
+
+
+def test_level_matches_the_oracle():
+    # minimum degree 2 by a count, lex-first by all n! relabelings
+    for n in range(1, 5):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for e in range(8):
+            expected = []
+            for combo in combinations_with_replacement(pairs, e):
+                deg = Counter(chain.from_iterable(combo))
+                if min(deg[v] for v in range(n)) >= 2 and combo == oracles.first_relabeling(
+                    n, list(combo)
+                ):
+                    expected.append(combo)
+            assert list(_level(n, e)) == expected, (n, e)
+
+
+def test_fdp_search_tests_only_falling_rows_0(monkeypatch):
+    # _lex_first sees a multiset only if its row 0 falls and its degrees are all
+    # at least 2: 449 calls across the benchmark cells, 831 when whole levels were walked
+    calls = []
+
+    def counted(combo, n):
+        calls.append(combo)
+        return _lex_first(combo, n)
+
+    monkeypatch.setattr(critical, "_lex_first", counted)
+    for i, j in [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3)]:
+        fdp_search(DefectParams(i, j), 5)
+    assert len(calls) == 449
+
+
+# f_DP(i, j, n) for n = 1..5 under the default cap of 10 edges, None where no
+# critical multigraph has at most 10; the README's table adds n = 6
+FDP_TABLE = {
+    (0, 1): [None, 3, 4, 5, 6],
+    (0, 2): [None, 4, 5, 6, 7],
+    (0, 3): [None, 5, 6, 7, 8],
+    (0, 4): [None, 6, 7, 8, 9],
+    (0, 5): [None, 7, 8, 9, 10],
+    (1, 1): [None, 4, 4, 6, 7],
+    (1, 2): [None, 5, 6, 6, 8],
+    (1, 3): [None, 6, 7, 8, 8],
+    (1, 4): [None, 7, 8, 9, 10],
+    (1, 5): [None, 8, 9, 10, None],
+    (2, 2): [None, 6, 6, 6, 9],
+    (2, 3): [None, 7, 8, 8, 8],
+    (2, 4): [None, 8, 9, 10, 10],
+    (2, 5): [None, 9, 10, None, None],
+}
+
+
+@pytest.mark.parametrize("i, j", list(FDP_TABLE))
+def test_fdp_table_up_to_five_vertices(i, j):
+    found = [fdp_search(DefectParams(i, j), n) for n in range(1, 6)]
+    assert [f and f[0] for f in found] == FDP_TABLE[i, j]
 
 
 class TestCheckBounds:
