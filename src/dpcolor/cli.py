@@ -19,6 +19,7 @@ from .cover import DEFAULT_MAX_COVERS, _check_covers, load_cover, save_cover
 from .critical import (
     DEFAULT_MAX_SEARCH_EDGES,
     DEFAULT_MAX_SEARCH_VERTICES as SEARCH_MAX_VERTICES,
+    _first_level,
     fdp_search,
     is_critical,
 )
@@ -217,8 +218,9 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_fdp(args) -> int:
+    params = _params(args)
     found = fdp_search(
-        _params(args),
+        params,
         args.n,
         args.max_edges,
         max_vertices=_max_n(args, SEARCH_MAX_VERTICES),
@@ -226,6 +228,12 @@ def _cmd_fdp(args) -> int:
     )
     if found is None:
         print("NONE")
+        first = _first_level(params, args.n)
+        if first > args.max_edges:
+            why = f"no level searched: ceil(edge_bound) = {first} > --max-edges {args.max_edges}"
+        else:
+            why = f"levels {first}..{args.max_edges} searched: none holds a critical multigraph"
+        print(why, file=sys.stderr)
         return 0
     e, g = found
     print(f"fdp {e}")

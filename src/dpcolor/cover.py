@@ -13,7 +13,7 @@ from enum import IntEnum
 from itertools import product
 from typing import Iterator, Sequence
 
-from .graph import BudgetError, DefectParams, FormatError, Multigraph, Toughness
+from .graph import BudgetError, DefectParams, FormatError, Multigraph, Toughness, _int_field
 
 DEFAULT_MAX_COVERS = 2**24
 
@@ -170,10 +170,7 @@ def parse_cover(text: str) -> Cover:
                 raise FormatError(f"line {lineno}: duplicate 'cover' header")
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected 'cover <m>'")
-            try:
-                m = int(parts[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: edge count is not an integer") from None
+            m = _int_field(parts[1], lineno, "edge count")
             if m < 0:
                 raise FormatError(f"line {lineno}: edge count must be non-negative")
             continue
@@ -181,10 +178,7 @@ def parse_cover(text: str) -> Cover:
             raise FormatError(f"line {lineno}: expected 'cover <m>' before {parts[0]!r}")
         if parts[0] != "p" or len(parts) != 3:
             raise FormatError(f"line {lineno}: expected 'p <edgeId> E|O'")
-        try:
-            e = int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: edge id is not an integer") from None
+        e = _int_field(parts[1], lineno, "edge id")
         if not 0 <= e < m:
             raise FormatError(f"line {lineno}: edge id out of range [0, {m})")
         if e in seen:

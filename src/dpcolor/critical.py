@@ -22,7 +22,7 @@ from .potential import (
 from .solver import _core, _scan_checked, _scan_critical
 from .solver import is_colorable  # noqa: F401  (bench/tracer.py wraps critical.is_colorable)
 
-DEFAULT_MAX_SEARCH_VERTICES = 5
+DEFAULT_MAX_SEARCH_VERTICES = 7
 DEFAULT_MAX_SEARCH_EDGES = 10
 
 
@@ -161,9 +161,8 @@ def fdp_search(
         raise ValueError("need at least one vertex")
     if n > max_vertices:
         raise BudgetError(f"n = {n} exceeds the search limit of {max_vertices}")
-    floor = max(math.ceil(edge_bound(params, n)), 1)
     t = Toughness.zero(n)
-    for e in range(floor, max_edges + 1):
+    for e in range(_first_level(params, n), max_edges + 1):
         if 2 * e >= n > 1:
             _check_covers(e, max_covers)  # is_critical's budget check, same message
         for combo in _level(n, e):
@@ -173,27 +172,35 @@ def fdp_search(
     return None
 
 
+def _first_level(params: DefectParams, n: int) -> int:
+    """fdp_search's first level, the regime lower bound: at least 1, as each
+    regime row has a > 0 and k >= 0."""
+    return math.ceil(edge_bound(params, n))
+
+
 def _level(n: int, e: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """The e-edge multisets on n vertices with minimum degree 2 that pass
     _lex_first, in combinations_with_replacement order over all pairs.
 
     That order is row 0's multiplicities in falling lex order, then the
     rest's. _lex_first rejects a row 0 that rises, so only falling rows 0
-    are walked, each followed by every multiset of the pairs among 1..n-1
-    that fills the level. Those come in lockstep with multisets of packed
-    pair codes, one field per vertex 1..n-1 with a guard bit on top, so
-    the sum of a code multiset holds each vertex's degree in the rest.
-    Adding guard + row 0's multiplicity - 2 to each field leaves its guard
-    bit set exactly when that vertex's degree is at least 2; a degree is
-    at most e, so no field carries into the next.
+    are walked, in the order combinations_with_replacement yields them from
+    e, ..., 0, and only those that give vertex 0 a degree from 2 to e. Each
+    is followed by every multiset of the pairs among 1..n-1 that fills the
+    level. Those come in lockstep with multisets of packed pair codes, one
+    field per vertex 1..n-1 with a guard bit on top, so the sum of a code
+    multiset holds each vertex's degree in the rest. Adding guard + row 0's
+    multiplicity - 2 to each field leaves its guard bit set exactly when
+    that vertex's degree is at least 2; a degree is at most e, so no field
+    carries into the next.
     """
     width = e.bit_length() + 1
     guard = 1 << width - 1
     rest = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
     codes = [(1 << width * (u - 1)) + (1 << width * (v - 1)) for u, v in rest]
     guards = sum(guard << width * (v - 1) for v in range(1, n))
-    for row in _falling_rows(n - 1, e, e):
-        if sum(row) < 2:
+    for row in combinations_with_replacement(range(e, -1, -1), n - 1):
+        if not 2 <= sum(row) <= e:
             continue  # vertex 0's degree
         # from a list: tuple() of a generator is resized, and each row's head
         # would leave one more block on a tuple free list
@@ -206,17 +213,6 @@ def _level(n: int, e: int) -> Iterator[tuple[tuple[int, int], ...]]:
             combo = head + tail
             if _lex_first(combo, n):
                 yield combo
-
-
-def _falling_rows(length: int, total: int, top: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing vectors of length entries, each at most top, with sum
-    at most total, in falling lex order."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(min(top, total), -1, -1):
-        for tail in _falling_rows(length - 1, total - first, first):
-            yield (first, *tail)
 
 
 def _lex_first(combo: Sequence[tuple[int, int]], n: int) -> bool:

@@ -128,14 +128,10 @@ def rho_vertex(params: DefectParams, t: Toughness, v: int) -> int:
 def rho_set(g: Multigraph, params: DefectParams, t: Toughness, s: Iterable[int]) -> int:
     """Sum of vertex potentials over s minus the edge coefficient times |E(G[s])|."""
     t.check(params, g.n)
-    members = set(s)
-    for v in members:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range [0, {g.n})")
+    h, members = g.induced_subgraph(s)
     _, coeff, _ = _potential_row(params)
     total = sum(rho_vertex(params, t, v) for v in members)
-    internal = sum(1 for u, w in g.edges if u in members and w in members)
-    return total - coeff * internal
+    return total - coeff * len(h.edges)
 
 
 class _MinCut:

@@ -10,10 +10,12 @@ from .cover import (
     Caps,
     Cover,
     PhiMap,
+    Side,
     _caps,
     _check_cover,
     _check_covers,
     _checked,
+    conflict_degrees,
 )
 from .covertree import _CoverTree
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
@@ -337,25 +339,22 @@ def exhaustive_color(
 def greedy_color(g: Multigraph, c: Cover, i: int) -> PhiMap | None:
     """Flip-repair for the symmetric (i, i) problem with zero toughness.
 
-    Starts all-rich; while some vertex has more than i conflicts, flips the
-    lowest-id such vertex provided the flip strictly lowers the number of
-    conflicting edge instances, and gives up otherwise. Each incident edge
-    conflicts with exactly one of the two sides, so a flip replaces c
-    conflicts at v with d(v) - c; whenever every degree is at most 2i + 1 the
-    flip always improves and the repair is guaranteed to finish. The total
-    strictly drops at each step, so there are at most |E| flips.
+    Starts all-rich, its conflicts counted by conflict_degrees, which also
+    checks that c covers g's edges. While some vertex has more than i
+    conflicts, flips the lowest-id such vertex provided the flip strictly
+    lowers the number of conflicting edge instances, and gives up
+    otherwise. Each incident edge conflicts with exactly one of the two
+    sides, so a flip replaces c conflicts at v with d(v) - c; whenever every
+    degree is at most 2i + 1 the flip always improves and the repair is
+    guaranteed to finish. The total strictly drops at each step, so there
+    are at most |E| flips.
     """
     if i < 0:
         raise ValueError("defect bound i must be non-negative")
-    _check_cover(g, c)
+    conf = conflict_degrees(g, c, PhiMap((Side.RICH,) * g.n))
     bits = [int(p) for p in c.parities]
     incident = g.incidence()
     sides = [0] * g.n
-    conf = [0] * g.n
-    for e, (u, v) in enumerate(g.edges):
-        if bits[e] ^ sides[u] ^ sides[v] == 0:
-            conf[u] += 1
-            conf[v] += 1
     while True:
         v = next((w for w in range(g.n) if conf[w] >= i + 1), None)
         if v is None:

@@ -212,8 +212,18 @@ class TestDecisionCommands:
         assert out.count("e 0 1") == 3
 
     def test_fdp_none(self, capsys):
-        code, out, _ = run(capsys, "fdp", "--i", "0", "--j", "1", "--n", "2", "--max-edges", "2")
-        assert code == 0 and out.strip() == "NONE"
+        code, out, err = run(capsys, "fdp", "--i", "0", "--j", "1", "--n", "2", "--max-edges", "2")
+        assert code == 0 and out == "NONE\n"
+        assert err == "no level searched: ceil(edge_bound) = 3 > --max-edges 2\n"
+
+    def test_fdp_none_after_searching(self, capsys):
+        code, out, err = run(capsys, "fdp", "--i", "2", "--j", "5", "--n", "4")
+        assert code == 0 and out == "NONE\n"
+        assert err == "levels 7..10 searched: none holds a critical multigraph\n"
+
+    def test_fdp_seven_vertices_by_default(self, capsys):
+        code, out, _ = run(capsys, "fdp", "--i", "0", "--j", "1", "--n", "7")
+        assert code == 0 and out.splitlines()[0] == "fdp 8"
 
 
 class TestVerify:

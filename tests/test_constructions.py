@@ -178,3 +178,22 @@ class TestDispatcher:
             build_family("zeroj", None, None, 2)
         with pytest.raises(ValueError):
             build_family("large", 1, 3, None)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: attach_weak_flag(Multigraph(1, ()), 1, 1), "vertex 1 out of range [0, 1)"),
+        (lambda: build_family("large", None, 3, 0), "large needs i and j"),
+        (lambda: build_family("large", 1, None, 0), "large needs i and j"),
+        (lambda: build_family("mid", None, 4, 1), "mid needs i and j"),
+        (lambda: build_family("mid", 2, None, 1), "mid needs i and j"),
+        (lambda: build_family("iplusone", None, None, 0), "iplusone needs i"),
+        (lambda: build_family("equal", None, None, 1), "equal needs i"),
+    ],
+    ids=["weak-flag-base", "large-i", "large-j", "mid-i", "mid-j", "iplusone-i", "equal-i"],
+)
+def test_each_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -213,12 +213,12 @@ class TestCoverFormat:
         [
             ("cover 1\ncover 1\n", 2, "duplicate 'cover' header"),
             ("cover\n", 1, "expected 'cover <m>'"),
-            ("cover one\n", 1, "edge count is not an integer"),
+            ("cover one\n", 1, "edge count is not an integer: 'one'"),
             ("cover -1\n", 1, "edge count must be non-negative"),
             ("# first\np 0 E\n", 2, "expected 'cover <m>' before 'p'"),
             ("cover 1\nq 0 E\n", 2, "expected 'p <edgeId> E|O'"),
             ("cover 1\np 0\n", 2, "expected 'p <edgeId> E|O'"),
-            ("cover 1\np x E\n", 2, "edge id is not an integer"),
+            ("cover 1\np x E\n", 2, "edge id is not an integer: 'x'"),
             ("cover 1\np 1 E\n", 2, "edge id out of range [0, 1)"),
             ("cover 2\np 0 E\n\np 0 O\n", 4, "duplicate parity for edge 0"),
             ("cover 1\np 0 X\n", 2, "parity must be 'E' or 'O', got 'X'"),
@@ -228,3 +228,21 @@ class TestCoverFormat:
         with pytest.raises(FormatError) as exc:
             parse_cover(text)
         assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: conflict_degrees(Multigraph(2, [(0, 1)]), Cover((E,)), PhiMap((Side.RICH,))),
+            "map covers 1 vertices, graph has 2",
+        ),
+        (lambda: cover_from_index(2, 4), "cover index 4 out of range for 2 edges"),
+        (lambda: parse_cover(""), "missing 'cover <m>' header"),
+    ],
+    ids=["map-length", "cover-index", "empty-cover-text"],
+)
+def test_each_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+import runpy
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -343,7 +345,8 @@ def test_fdp_search_tests_only_falling_rows_0(monkeypatch):
 
 
 # f_DP(i, j, n) for n = 1..5 under the default cap of 10 edges, None where no
-# critical multigraph has at most 10; the README's table adds n = 6
+# critical multigraph has at most 10; scripts/fdp_table.py prints the README's
+# table, which adds n = 6 and 7 under higher caps
 FDP_TABLE = {
     (0, 1): [None, 3, 4, 5, 6],
     (0, 2): [None, 4, 5, 6, 7],
@@ -366,6 +369,20 @@ FDP_TABLE = {
 def test_fdp_table_up_to_five_vertices(i, j):
     found = [fdp_search(DefectParams(i, j), n) for n in range(1, 6)]
     assert [f and f[0] for f in found] == FDP_TABLE[i, j]
+
+
+def test_readme_table_script_up_to_four_vertices():
+    script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "fdp_table.py"))
+    caps = {n: 10 for n in range(1, 5)}
+    table = script["fdp_table"](caps)
+    assert table == {cell: row[:4] for cell, row in FDP_TABLE.items()}
+    lines = script["markdown"](table, caps).splitlines()
+    assert lines[:3] == [
+        "| (i, j) | n = 1 | n = 2 | n = 3 | n = 4 |",
+        "| --- | --- | --- | --- | --- |",
+        "| (0,1) | — | **3** / 3 | **4** / 4 | **5** / 5 |",
+    ]
+    assert lines[-1] == "| (2,5) | — | 9 / 4 | 10 / 6 | > 10 / 7 |"
 
 
 class TestCheckBounds:
@@ -434,7 +451,7 @@ class TestFdpSearch:
 
     def test_vertex_budget(self):
         with pytest.raises(BudgetError):
-            fdp_search(P01, 6)
+            fdp_search(P01, 8)
 
     def test_bad_vertex_count(self):
         with pytest.raises(ValueError):

@@ -233,3 +233,23 @@ def test_each_malformed_graph_line_is_named(text, line, message):
     with pytest.raises(FormatError) as exc:
         parse_graph(text)
     assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Toughness((0,), (0, 0), True), "poor and rich vectors must have equal length"),
+        (lambda: Toughness((0,), (1,)), "scalar toughness must agree on both sides"),
+        (lambda: Multigraph(-1, ()), "vertex count must be non-negative"),
+        (lambda: Multigraph(2, ()).induced_subgraph([0, 2]), "vertex 2 out of range [0, 2)"),
+        (
+            lambda: format_graph(Multigraph(2, ()), Toughness.zero(3)),
+            "toughness covers 3 vertices, graph has 2",
+        ),
+    ],
+    ids=["toughness-lengths", "scalar-sides", "negative-n", "induced-vertex", "format-toughness"],
+)
+def test_each_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

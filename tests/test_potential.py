@@ -457,3 +457,22 @@ def test_rho_graph_falls_back_to_forced_cuts_when_every_set_is_positive(max_flow
         assert len(backward_passes) == 2
         # every forced cut starts from the unforced cut's residual
         assert [warm for _, _, warm in max_flows] == [False] + [True] * g.n
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rho_vertex(DefectParams(0, 1), Toughness.zero(2), 2), "vertex 2 out of range [0, 2)"),
+        (
+            lambda: rho_set(Multigraph(2, ()), DefectParams(0, 1), Toughness.zero(2), [0, 2]),
+            "vertex 2 out of range [0, 2)",
+        ),
+        (lambda: rho_graph(Multigraph(0, ()), DefectParams(0, 1)), "potential of the empty graph is undefined"),
+        (lambda: edge_bound(DefectParams(0, 1), 0), "need at least one vertex"),
+    ],
+    ids=["rho-vertex", "rho-set", "rho-graph-empty", "edge-bound-n"],
+)
+def test_each_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -510,3 +510,17 @@ def test_partition_witness_is_first_qualifying_vertex(g, i, data):
             expect = v
             break
     assert partition_witness(g, i, a_set) == expect
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: greedy_color(Multigraph(2, [(0, 1)]), Cover((Parity.EVEN,)), -1),
+        lambda: partition_witness(Multigraph(2, [(0, 1)]), -1, [0]),
+    ],
+    ids=["greedy_color", "partition_witness"],
+)
+def test_negative_defect_bound_is_named(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "defect bound i must be non-negative"
