@@ -13,7 +13,7 @@ from enum import IntEnum
 from itertools import product
 from typing import Iterator, Sequence
 
-from .graph import BudgetError, DefectParams, FormatError, Multigraph, Toughness, _int_field
+from .graph import BudgetError, DefectParams, FormatError, Multigraph, Toughness, _int_field, _lines
 
 DEFAULT_MAX_COVERS = 2**24
 
@@ -157,25 +157,11 @@ def all_covers(g: Multigraph, max_covers: int = DEFAULT_MAX_COVERS) -> Iterator[
 
 
 def parse_cover(text: str) -> Cover:
-    """Parse the cover format: ``cover <m>`` then one ``p <edgeId> E|O`` line per edge."""
-    m: int | None = None
+    """Parse the cover format: the ``cover <m>`` header (_lines), then one
+    ``p <edgeId> E|O`` line per edge."""
+    m, rows = _lines(text, "cover", "m", "edge count")
     seen: dict[int, Parity] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "cover":
-            if m is not None:
-                raise FormatError(f"line {lineno}: duplicate 'cover' header")
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected 'cover <m>'")
-            m = _int_field(parts[1], lineno, "edge count")
-            if m < 0:
-                raise FormatError(f"line {lineno}: edge count must be non-negative")
-            continue
-        if m is None:
-            raise FormatError(f"line {lineno}: expected 'cover <m>' before {parts[0]!r}")
+    for lineno, parts in rows:
         if parts[0] != "p" or len(parts) != 3:
             raise FormatError(f"line {lineno}: expected 'p <edgeId> E|O'")
         e = _int_field(parts[1], lineno, "edge id")
@@ -186,8 +172,6 @@ def parse_cover(text: str) -> Cover:
         if parts[2] not in _PARITY_FROM_LETTER:
             raise FormatError(f"line {lineno}: parity must be 'E' or 'O', got {parts[2]!r}")
         seen[e] = _PARITY_FROM_LETTER[parts[2]]
-    if m is None:
-        raise FormatError("missing 'cover <m>' header")
     missing = [e for e in range(m) if e not in seen]
     if missing:
         raise FormatError(f"missing parity for edge(s) {missing}")

@@ -148,7 +148,8 @@ def fdp_search(
     bound (nothing below it can be critical) and giving up above max_edges,
     and decides each isomorphism class once. is_critical's budget check
     depends on the edge count alone, so it is made once at the top of each
-    level that has a multiset with no isolated vertex (2e >= n > 1). Each
+    level when n > 1: every level from the regime bound up has e >= n, so
+    some multiset has no isolated vertex (_first_level). Each
     relabeling of a multiset lies on its level, so a class is first reached
     at its lex-least relabeling (_lex_first). _level yields just those with
     minimum degree 2, as is_critical rejects a vertex of degree below 2
@@ -163,7 +164,7 @@ def fdp_search(
         raise BudgetError(f"n = {n} exceeds the search limit of {max_vertices}")
     t = Toughness.zero(n)
     for e in range(_first_level(params, n), max_edges + 1):
-        if 2 * e >= n > 1:
+        if n > 1:
             _check_covers(e, max_covers)  # is_critical's budget check, same message
         for combo in _level(n, e):
             g = Multigraph(n, combo)
@@ -173,8 +174,8 @@ def fdp_search(
 
 
 def _first_level(params: DefectParams, n: int) -> int:
-    """fdp_search's first level, the regime lower bound: at least 1, as each
-    regime row has a > 0 and k >= 0."""
+    """fdp_search's first level, the regime lower bound: at least n, as each
+    regime row has a >= b and k >= 0."""
     return math.ceil(edge_bound(params, n))
 
 

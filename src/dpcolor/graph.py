@@ -9,7 +9,7 @@ are immutable: structural edits return new graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class FormatError(ValueError):
@@ -169,35 +169,50 @@ def _int_field(token: str, lineno: int, what: str) -> int:
         raise FormatError(f"line {lineno}: {what} is not an integer: {token!r}") from None
 
 
+def _lines(
+    text: str, keyword: str, arg: str, what: str
+) -> tuple[int, Iterator[tuple[int, list[str]]]]:
+    """The rules both line formats share: ``#`` starts a comment, blank lines
+    are skipped, and the first line is the one ``<keyword> <arg>`` header,
+    whose count (called what in errors) must be >= 0. Returns that count and
+    the (1-based line number, fields) of each later line, checked for a
+    second header only as they are taken, so errors come in line order."""
+    split = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    lines = [(lineno, fields) for lineno, fields in enumerate(split, start=1) if fields]
+    if not lines:
+        raise FormatError(f"missing '{keyword} <{arg}>' header")
+    lineno, fields = lines[0]
+    if fields[0] != keyword:
+        raise FormatError(f"line {lineno}: expected '{keyword} <{arg}>' before {fields[0]!r}")
+    if len(fields) != 2:
+        raise FormatError(f"line {lineno}: expected '{keyword} <{arg}>'")
+    count = _int_field(fields[1], lineno, what)
+    if count < 0:
+        raise FormatError(f"line {lineno}: {what} must be non-negative")
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for lineno, fields in lines[1:]:
+            if fields[0] == keyword:
+                raise FormatError(f"line {lineno}: duplicate {keyword!r} header")
+            yield lineno, fields
+
+    return count, rows()
+
+
 def parse_graph(text: str) -> tuple[Multigraph, Toughness | None]:
     """Parse the line-oriented graph format.
 
-    ``graph <n>`` must be the first non-comment line, then ``e <u> <v>`` per
-    edge instance (ids in order of appearance), and optionally ``t <v> <k>``
+    The ``graph <n>`` header (_lines) is followed by ``e <u> <v>`` per edge
+    instance (ids in order of appearance), and optionally ``t <v> <k>``
     (scalar toughness) or ``t2 <v> <tp> <tr>`` (refined) lines, never both
-    kinds. ``#`` starts a comment. Unset toughness defaults to 0.
+    kinds. Unset toughness defaults to 0.
     """
-    n: int | None = None
+    n, rows = _lines(text, "graph", "n", "vertex count")
     edges: list[tuple[int, int]] = []
     scalar: dict[int, int] = {}
     refined: dict[int, tuple[int, int]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "graph":
-            if n is not None:
-                raise FormatError(f"line {lineno}: duplicate 'graph' header")
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected 'graph <n>'")
-            n = _int_field(parts[1], lineno, "vertex count")
-            if n < 0:
-                raise FormatError(f"line {lineno}: vertex count must be non-negative")
-            continue
-        if n is None:
-            raise FormatError(f"line {lineno}: expected 'graph <n>' before {parts[0]!r}")
+    for lineno, parts in rows:
         if parts[0] == "e":
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
@@ -239,9 +254,6 @@ def parse_graph(text: str) -> tuple[Multigraph, Toughness | None]:
             refined[v] = (tp, tr)
         else:
             raise FormatError(f"line {lineno}: unknown directive {parts[0]!r}")
-
-    if n is None:
-        raise FormatError("missing 'graph <n>' header")
     g = Multigraph(n, tuple(edges))
     if refined:
         t: Toughness | None = Toughness.pairs(refined.get(v, (0, 0)) for v in range(n))

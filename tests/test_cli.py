@@ -18,6 +18,7 @@ from dpcolor import (
     save_cover,
     save_graph,
 )
+from dpcolor import constructions
 from dpcolor.cli import _build_parser, main
 
 
@@ -50,6 +51,16 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--family", "mid", "--i", "1", "--j", "3", "--m", "1")
         assert code == 2
         assert "i+2 <= j <= 2i" in err
+
+    def test_count_mismatch_exits_2(self, capsys, monkeypatch):
+        # a builder whose closed form predicts one edge too many
+        finish = constructions._finish
+        monkeypatch.setattr(constructions, "_finish", lambda *a: finish(*a[:-1], a[-1] + 1))
+        code, out, err = run(capsys, "gen", "--family", "zeroj", "--j", "1", "--m", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: zeroj(i=0, j=1, m=2) built n=6, e=7 but the closed forms predict n=6, e=8\n"
+        )
 
 
 class TestColor:

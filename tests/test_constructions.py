@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from dpcolor import (
+    CountMismatch,
     Multigraph,
+    Parity,
     attach_flag,
     attach_weak_flag,
     build_equal,
@@ -17,6 +19,7 @@ from dpcolor import (
     edge_bound,
     exhaustive_color,
 )
+from dpcolor.constructions import _finish
 
 
 class TestAttachFlag:
@@ -197,3 +200,15 @@ def test_each_bad_argument_is_named(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_finish_refuses_counts_off_the_closed_forms():
+    g = Multigraph(2, [(0, 1)])
+    with pytest.raises(CountMismatch) as exc:
+        _finish("zeroj", 0, 1, 1, g, [Parity.EVEN], 2, 2)
+    assert str(exc.value) == (
+        "zeroj(i=0, j=1, m=1) built n=2, e=1 but the closed forms predict n=2, e=2"
+    )
+    with pytest.raises(CountMismatch) as exc:
+        _finish("zeroj", 0, 1, 1, g, [], 2, 1)
+    assert str(exc.value) == "zeroj: cover indexes 0 of 1 edges"

@@ -208,6 +208,9 @@ class TestCoverFormat:
         with pytest.raises(FormatError):
             parse_cover("p 0 E\n")
 
+    def test_header_only(self):
+        assert parse_cover("cover 0\n") == Cover(())
+
     @pytest.mark.parametrize(
         "text, line, message",
         [
@@ -222,6 +225,9 @@ class TestCoverFormat:
             ("cover 1\np 1 E\n", 2, "edge id out of range [0, 1)"),
             ("cover 2\np 0 E\n\np 0 O\n", 4, "duplicate parity for edge 0"),
             ("cover 1\np 0 X\n", 2, "parity must be 'E' or 'O', got 'X'"),
+            # two faults: the first line wins
+            ("cover 1\np 0 X\ncover 1\n", 2, "parity must be 'E' or 'O', got 'X'"),
+            ("cover 1\ncover 1\np 0 X\n", 2, "duplicate 'cover' header"),
         ],
     )
     def test_each_malformed_line_is_named(self, text, line, message):
@@ -239,8 +245,9 @@ class TestCoverFormat:
         ),
         (lambda: cover_from_index(2, 4), "cover index 4 out of range for 2 edges"),
         (lambda: parse_cover(""), "missing 'cover <m>' header"),
+        (lambda: parse_cover("# only a comment\n\n"), "missing 'cover <m>' header"),
     ],
-    ids=["map-length", "cover-index", "empty-cover-text"],
+    ids=["map-length", "cover-index", "empty-cover-text", "comment-only-cover-text"],
 )
 def test_each_bad_argument_is_named(call, message):
     with pytest.raises(ValueError) as exc:

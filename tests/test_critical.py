@@ -449,6 +449,14 @@ class TestFdpSearch:
             _, witness = found
             assert min(witness.degree(v) for v in range(witness.n)) >= 2
 
+    def test_every_level_has_room_for_each_vertex(self):
+        # a >= b and k >= 0 in every regime row, so the first level, and each
+        # after it, has e >= n: fdp_search's budget check needs only n > 1
+        for i in range(6):
+            for j in range(max(i, 1), 13):
+                for n in range(1, 40):
+                    assert critical._first_level(DefectParams(i, j), n) >= n
+
     def test_vertex_budget(self):
         with pytest.raises(BudgetError):
             fdp_search(P01, 8)

@@ -200,6 +200,9 @@ class TestFileFormat:
         with pytest.raises(FormatError, match="duplicate toughness"):
             parse_graph("graph 2\nt 0 1\nt 0 2\n")
 
+    def test_header_only(self):
+        assert parse_graph("graph 3\n") == (Multigraph(3, ()), None)
+
 
 @pytest.mark.parametrize(
     "text, line, message",
@@ -227,6 +230,9 @@ class TestFileFormat:
         ("graph 2\nt2 0 -1 0\n", 2, "toughness must be non-negative"),
         ("graph 2\nt2 0 0 0\nt2 0 1 1\n", 3, "duplicate toughness for vertex 0"),
         ("graph 1\nq 0\n", 2, "unknown directive 'q'"),
+        # two faults: the first line wins
+        ("graph 2\ne 0 9\ngraph 3\n", 2, "endpoint out of range [0, 2)"),
+        ("graph 2\ngraph 3\ne 0 9\n", 2, "duplicate 'graph' header"),
     ],
 )
 def test_each_malformed_graph_line_is_named(text, line, message):
@@ -246,8 +252,16 @@ def test_each_malformed_graph_line_is_named(text, line, message):
             lambda: format_graph(Multigraph(2, ()), Toughness.zero(3)),
             "toughness covers 3 vertices, graph has 2",
         ),
+        (lambda: parse_graph("# only a comment\n\n"), "missing 'graph <n>' header"),
     ],
-    ids=["toughness-lengths", "scalar-sides", "negative-n", "induced-vertex", "format-toughness"],
+    ids=[
+        "toughness-lengths",
+        "scalar-sides",
+        "negative-n",
+        "induced-vertex",
+        "format-toughness",
+        "comment-only-graph-text",
+    ],
 )
 def test_each_bad_argument_is_named(call, message):
     with pytest.raises(ValueError) as exc:
