@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import Cover, Parity
-from .graph import DefectParams, Multigraph
+from .graph import DefectParams, Multigraph, _check_vertex
 
 FAMILIES = ("zeroj", "large", "mid", "iplusone", "equal")
 
@@ -46,8 +46,7 @@ class CountMismatch(RuntimeError):
 
 def attach_flag(g: Multigraph, base: int) -> tuple[Multigraph, int]:
     """Add a flag at base: one new vertex joined to base by two parallel edges."""
-    if not 0 <= base < g.n:
-        raise ValueError(f"vertex {base} out of range [0, {g.n})")
+    _check_vertex(base, g.n)
     u = g.n
     return Multigraph(g.n + 1, g.edges + ((base, u), (base, u))), u
 
@@ -59,14 +58,24 @@ def attach_weak_flag(g: Multigraph, base: int, weight: int) -> Multigraph:
     joined to x and to base by single edges. Edge order: (x, y), (y, base),
     then the flag digons. Adds weight + 2 vertices and 2*weight + 2 edges.
     """
-    if not 0 <= base < g.n:
-        raise ValueError(f"vertex {base} out of range [0, {g.n})")
+    _check_vertex(base, g.n)
     if weight < 1:
         raise ValueError("weak flag weight must be at least 1")
     x, y = g.n, g.n + 1
     g = Multigraph(g.n + 2, g.edges + ((x, y), (y, base)))
     for _ in range(weight):
         g, _ = attach_flag(g, x)
+    return g
+
+
+def _flags(g: Multigraph, parities: list[Parity], counts: list[tuple[int, int]]) -> Multigraph:
+    """g with count flags at base for each (base, count) of counts, in order,
+    and each flag's parities appended to parities, first edge even: the one
+    statement of the convention above."""
+    for base, count in counts:
+        for _ in range(count):
+            g, _ = attach_flag(g, base)
+            parities += [_E, _O]
     return g
 
 
@@ -125,10 +134,7 @@ def build_large(i: int, j: int, m: int) -> FamilyInstance:
         raise ValueError("large needs m >= 0")
     g = Multigraph(m + 2, tuple([(v, v + 1) for v in range(m + 1)]))
     parities = [_O] * m + [_E]
-    for base, count in [(m + 1, j), (0, i + 1)] + [(h, i) for h in range(1, m + 1)]:
-        for _ in range(count):
-            g, _ = attach_flag(g, base)
-            parities += [_E, _O]
+    g = _flags(g, parities, [(m + 1, j), (0, i + 1)] + [(h, i) for h in range(1, m + 1)])
     n = (i + 1) * (m + 1) + 2 + j
     return _finish("large", i, j, m, g, parities, n, (2 * i + 1) * (m + 1) + 2 + 2 * j)
 
@@ -145,10 +151,7 @@ def build_mid(i: int, j: int, m: int) -> FamilyInstance:
         raise ValueError("mid needs m >= 1")
     g = Multigraph(2 * m + 1, tuple([(v, v + 1) for v in range(2 * m)]))
     parities = [_E if h % 2 == 0 else _O for h in range(2 * m)]
-    for base, count in [(0, j)] + [(2 * h, j - 1) for h in range(1, m)] + [(2 * m, j)]:
-        for _ in range(count):
-            g, _ = attach_flag(g, base)
-            parities += [_E, _O]
+    g = _flags(g, parities, [(0, j)] + [(2 * h, j - 1) for h in range(1, m)] + [(2 * m, j)])
     return _finish("mid", i, j, m, g, parities, (j + 1) * m + 2 + j, 2 * j * m + 2 * j + 2)
 
 
@@ -169,9 +172,7 @@ def build_iplusone(i: int, m: int) -> FamilyInstance:
         for _ in range(count):
             g = attach_weak_flag(g, base, i + 1)
             parities += [_E, _E] + [_E, _O] * (i + 1)
-    for _ in range(i + 1):
-        g, _ = attach_flag(g, m + 1)
-        parities += [_E, _O]
+    g = _flags(g, parities, [(m + 1, i + 1)])
     n = (m + 1) * i * i + (3 * m + 4) * i + i + m + 6
     e = 2 * (m + 1) * i * i + 4 * (m + 2) * i + m + 7
     return _finish("iplusone", i, i + 1, m, g, parities, n, e)
@@ -190,10 +191,7 @@ def build_equal(i: int, m: int) -> FamilyInstance:
     cycle = [(v, v + 1) for v in range(2 * m - 1)] + [(2 * m - 1, 0)]
     g = Multigraph(2 * m, tuple(cycle))
     parities = [_E] * (2 * m - 1) + [_O]
-    for h in range(m):
-        for _ in range(i):
-            g, _ = attach_flag(g, 2 * h)
-            parities += [_E, _O]
+    g = _flags(g, parities, [(2 * h, i) for h in range(m)])
     return _finish("equal", i, i, m, g, parities, (i + 2) * m, 2 * m + 2 * i * m)
 
 

@@ -101,11 +101,12 @@ def conflict_degrees(g: Multigraph, c: Cover, phi: PhiMap) -> list[int]:
     return conf
 
 
-def _checked(g: Multigraph, params: DefectParams, t: Toughness | None) -> Toughness:
+def _checked(g: Multigraph, params: DefectParams, t: Toughness | None) -> list[tuple[int, int]]:
+    """g's caps (_caps) under t, zero where t is None, once t is checked against g."""
     if t is None:
         t = Toughness.zero(g.n)
     t.check(params, g.n)
-    return t
+    return _caps(params, t)
 
 
 def _caps(params: DefectParams, t: Toughness) -> list[tuple[int, int]]:
@@ -124,7 +125,7 @@ def is_valid_coloring(
     """Whether phi is an (i, j, t)-coloring for this cover: every vertex takes
     at most its cap (_caps) on its chosen side, so a negative cap means that
     side is never valid."""
-    caps = _caps(params, _checked(g, params, t))
+    caps = _checked(g, params, t)
     conf = conflict_degrees(g, c, phi)
     return all(k <= cap[side] for k, cap, side in zip(conf, caps, phi.sides))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, compress, groupby, permutations, product
 
-from .cover import DEFAULT_MAX_COVERS, _caps, _check_covers
+from .cover import DEFAULT_MAX_COVERS, _check_covers
 from .graph import BudgetError, DefectParams, Multigraph, Toughness
 from .potential import (
     _POTENTIAL_REGIMES,
@@ -84,7 +84,7 @@ def is_critical(
     deg = [len(inc) for inc in g.incidence()]
     if 0 in deg:
         return False
-    caps = _caps(params, _scan_checked(g, params, t, max_covers))
+    caps = _scan_checked(g, params, t, max_covers)
     if not g.is_connected() or any(d == 1 and min(cap) >= 0 for d, cap in zip(deg, caps)):
         return False
     return _scan_critical(*_core(g, caps))

@@ -9,6 +9,7 @@ are immutable: structural edits return new graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator
 
 
@@ -20,6 +21,18 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed the configured size limit."""
 
 
+def _check_vertices(n: int, max_vertices: int) -> None:
+    """Refuse a graph of n vertices beyond max_vertices: the one statement of the vertex budget."""
+    if n > max_vertices:
+        raise BudgetError(f"graph has {n} vertices, limit is {max_vertices}")
+
+
+def _check_vertex(v: int, n: int) -> None:
+    """Refuse a vertex id outside 0..n-1: the one statement of the range rule."""
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range [0, {n})")
+
+
 @dataclass(frozen=True)
 class DefectParams:
     """The defect bounds (i, j): poor vertices tolerate i conflicts, rich ones j."""
@@ -28,7 +41,8 @@ class DefectParams:
     j: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.i <= self.j:
+        # index() refuses what is not an integer, as for Toughness and Multigraph
+        if not 0 <= index(self.i) <= index(self.j):
             raise ValueError(f"need 0 <= i <= j, got ({self.i}, {self.j})")
 
 
@@ -47,10 +61,11 @@ class Toughness:
     is_refined: bool = False
 
     def __post_init__(self) -> None:
-        # tuple() of a list allocates the final size at once; of a generator it
-        # resizes, and the freed tuples pile up in CPython's per-size free lists
-        object.__setattr__(self, "poor", tuple([int(x) for x in self.poor]))
-        object.__setattr__(self, "rich", tuple([int(x) for x in self.rich]))
+        # index() refuses non-integers. tuple() of a list allocates the final size
+        # at once; of a generator it resizes, and the freed tuples pile up in
+        # CPython's per-size free lists
+        object.__setattr__(self, "poor", tuple([index(x) for x in self.poor]))
+        object.__setattr__(self, "rich", tuple([index(x) for x in self.rich]))
         if len(self.poor) != len(self.rich):
             raise ValueError("poor and rich vectors must have equal length")
         if any(x < 0 for x in self.poor + self.rich):
@@ -101,8 +116,8 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        # from a list, as for Toughness
-        object.__setattr__(self, "edges", tuple([(int(u), int(v)) for u, v in self.edges]))
+        # index() and a list, as for Toughness
+        object.__setattr__(self, "edges", tuple([(index(u), index(v)) for u, v in self.edges]))
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         for e, (u, v) in enumerate(self.edges):
@@ -113,8 +128,7 @@ class Multigraph:
 
     def degree(self, v: int) -> int:
         """Number of edge instances incident to v (a digon counts twice)."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
+        _check_vertex(v, self.n)
         return sum((u == v) + (w == v) for u, w in self.edges)
 
     def delete_edge(self, e: int) -> Multigraph:
@@ -132,10 +146,9 @@ class Multigraph:
         """
         keep = sorted(set(s))
         for v in keep:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        index = {old: new for new, old in enumerate(keep)}
-        edges = [(index[u], index[w]) for u, w in self.edges if u in index and w in index]
+            _check_vertex(v, self.n)
+        new = {old: k for k, old in enumerate(keep)}
+        edges = [(new[u], new[w]) for u, w in self.edges if u in new and w in new]
         return Multigraph(len(keep), tuple(edges)), tuple(keep)
 
     def is_connected(self) -> bool:
@@ -163,10 +176,14 @@ class Multigraph:
 
 
 def _int_field(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"line {lineno}: {what} is not an integer: {token!r}") from None
+    """An optional sign and ASCII digits, as format_graph and format_cover
+    write them; int() alone also takes '1_0' and other scripts' digits."""
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise FormatError(f"line {lineno}: {what} is not an integer: {token!r}")
 
 
 def _lines(

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .graph import BudgetError, DefectParams, Multigraph, Toughness
+from .graph import DefectParams, Multigraph, Toughness, _check_vertex, _check_vertices
 
 DEFAULT_MAX_VERTICES = 192
 
@@ -78,20 +78,18 @@ def _row(params: DefectParams) -> tuple[int, int, int]:
     raise ValueError("no edge bound for (0, 0)")
 
 
-def _potential_row(params: DefectParams) -> tuple[int, int, int]:
-    """The row of a regime that has a potential: all but equal and (0, 0)."""
+def _gate(params: DefectParams, regimes: tuple[Regime, ...], noun: str) -> tuple[int, int, int]:
+    """The row (_row) of params' regime if it is one of regimes; any other
+    regime has no noun, the one statement of that refusal."""
     r = regime(params)
-    if r not in _POTENTIAL_REGIMES:
-        raise ValueError(f"regime {r.value} has no potential")
+    if r not in regimes:
+        raise ValueError(f"regime {r.value} has no {noun}")
     return _row(params)
 
 
 def scalar_constants(params: DefectParams) -> tuple[int, int]:
     """The pair (a, b) behind the scalar potential; only three regimes have one."""
-    r = regime(params)
-    if r not in _SCALAR_REGIMES:
-        raise ValueError(f"regime {r.value} has no scalar potential constants")
-    a, b, _ = _row(params)
+    a, b, _ = _gate(params, _SCALAR_REGIMES, "scalar potential constants")
     return a, b
 
 
@@ -110,9 +108,8 @@ def rho_vertex(params: DefectParams, t: Toughness, v: int) -> int:
     coordinate of (t_p, t_r) is weighted i + 1 and the smaller i, so the value
     is symmetric under swapping the pair.
     """
-    if not 0 <= v < t.n:
-        raise ValueError(f"vertex {v} out of range [0, {t.n})")
-    a, _, _ = _potential_row(params)
+    _check_vertex(v, t.n)
+    a, _, _ = _gate(params, _POTENTIAL_REGIMES, "potential")
     r = regime(params)
     if r is Regime.I_PLUS_ONE:
         if not t.is_refined:
@@ -129,7 +126,7 @@ def rho_set(g: Multigraph, params: DefectParams, t: Toughness, s: Iterable[int])
     """Sum of vertex potentials over s minus the edge coefficient times |E(G[s])|."""
     t.check(params, g.n)
     h, members = g.induced_subgraph(s)
-    _, coeff, _ = _potential_row(params)
+    _, coeff, _ = _gate(params, _POTENTIAL_REGIMES, "potential")
     total = sum(rho_vertex(params, t, v) for v in members)
     return total - coeff * len(h.edges)
 
@@ -276,15 +273,14 @@ def rho_graph(
     and would clamp every threshold comparison. Graphs above max_vertices
     (192 by default) are refused.
     """
-    if g.n > max_vertices:
-        raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
+    _check_vertices(g.n, max_vertices)
     if g.n == 0:
         raise ValueError("potential of the empty graph is undefined")
     if t is None:
         pairs = regime(params) is Regime.I_PLUS_ONE
         t = Toughness.zero_pairs(g.n) if pairs else Toughness.zero(g.n)
     t.check(params, g.n)
-    _, coeff, _ = _potential_row(params)
+    _, coeff, _ = _gate(params, _POTENTIAL_REGIMES, "potential")
     weights = [rho_vertex(params, t, v) for v in range(g.n)]
     cut = _MinCut(g, weights, coeff)
     best, _, residual = cut.minimum((), ())
@@ -307,10 +303,7 @@ def rho_graph(
 def potential_threshold(params: DefectParams) -> int:
     """The potential every critical instance must reach or undercut: -k,
     which is weight_w(params, j + 1) in the scalar regimes."""
-    r = regime(params)
-    if r not in _POTENTIAL_REGIMES:
-        raise ValueError(f"regime {r.value} has no potential threshold")
-    return -_row(params)[2]
+    return -_gate(params, _POTENTIAL_REGIMES, "potential threshold")[2]
 
 
 def edge_bound(params: DefectParams, n: int) -> Fraction:

@@ -11,14 +11,13 @@ from .cover import (
     Cover,
     PhiMap,
     Side,
-    _caps,
     _check_cover,
     _check_covers,
     _checked,
     conflict_degrees,
 )
 from .covertree import _CoverTree
-from .graph import BudgetError, DefectParams, Multigraph, Toughness
+from .graph import DefectParams, Multigraph, Toughness, _check_vertex, _check_vertices
 
 DEFAULT_MAX_VERTICES = 32
 
@@ -100,9 +99,9 @@ class _Search:
 
 def _scan_checked(
     g: Multigraph, params: DefectParams, t: Toughness | None, max_covers: int
-) -> Toughness:
+) -> list[tuple[int, int]]:
     """The checks every all-cover scan makes at its call: the budget on G's raw
-    2^|E| covers, then G's toughness."""
+    2^|E| covers, then G's toughness; returns G's caps."""
     _check_covers(len(g.edges), max_covers)
     return _checked(g, params, t)
 
@@ -322,10 +321,9 @@ def exhaustive_color(
     Existence is decided first on g without its flags, folded under this
     cover's parities (_fold). Only then is g searched, for the map.
     """
-    if g.n > max_vertices:
-        raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
+    _check_vertices(g.n, max_vertices)
     _check_cover(g, c)
-    caps = _caps(params, _checked(g, params, t))
+    caps = _checked(g, params, t)
     bits = [int(p) for p in c.parities]
     h, h_caps, bases, h_bits = _fold(g, caps, bits)
     if bases and _Search(h).run(h_bits, h_caps) is None:
@@ -402,7 +400,7 @@ def is_colorable(
     the switching forest: _kernel's bundle rule keeps that first hit
     lex-first. Block probes are memoized for the whole process (_gadget).
     """
-    caps = _caps(params, _scan_checked(g, params, t, max_covers))
+    caps = _scan_checked(g, params, t, max_covers)
     incident = g.incidence()
     g, keep = g.induced_subgraph(v for v in range(g.n) if incident[v] or max(caps[v]) < 0)
     caps = [caps[v] for v in keep]
@@ -518,8 +516,7 @@ def partition_witness(g: Multigraph, i: int, a_set: Iterable[int]) -> int | None
         raise ValueError("defect bound i must be non-negative")
     a = set(a_set)
     for v in a:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range [0, {g.n})")
+        _check_vertex(v, g.n)
     if not a or len(a) >= g.n:
         raise ValueError("A must be a nonempty proper subset of the vertices")
     incident = g.incidence()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .graph import BudgetError, DefectParams, Multigraph
+from .graph import DefectParams, Multigraph, _check_vertices
 from .potential import DEFAULT_MAX_VERTICES, Regime, _MinCut, _row, regime
 
 
@@ -37,8 +37,7 @@ def _violations(
     the empty set never does. A cut starts from the last violating one, so it must force more.
     Graphs above max_vertices are refused.
     """
-    if g.n > max_vertices:
-        raise BudgetError(f"graph has {g.n} vertices, limit is {max_vertices}")
+    _check_vertices(g.n, max_vertices)
     a, b, c = _inequality(params)
     n = g.n
     cut = _MinCut(g, [(n + 1) * a - 1] * n, (n + 1) * b)

@@ -186,6 +186,7 @@ class TestDispatcher:
 @pytest.mark.parametrize(
     "call, message",
     [
+        (lambda: attach_flag(Multigraph(2, ()), -1), "vertex -1 out of range [0, 2)"),
         (lambda: attach_weak_flag(Multigraph(1, ()), 1, 1), "vertex 1 out of range [0, 1)"),
         (lambda: build_family("large", None, 3, 0), "large needs i and j"),
         (lambda: build_family("large", 1, None, 0), "large needs i and j"),
@@ -194,7 +195,9 @@ class TestDispatcher:
         (lambda: build_family("iplusone", None, None, 0), "iplusone needs i"),
         (lambda: build_family("equal", None, None, 1), "equal needs i"),
     ],
-    ids=["weak-flag-base", "large-i", "large-j", "mid-i", "mid-j", "iplusone-i", "equal-i"],
+    ids=[
+        "flag-base", "weak-flag-base", "large-i", "large-j", "mid-i", "mid-j", "iplusone-i", "equal-i"
+    ],
 )
 def test_each_bad_argument_is_named(call, message):
     with pytest.raises(ValueError) as exc:

@@ -222,6 +222,12 @@ class TestCoverFormat:
             ("cover 1\nq 0 E\n", 2, "expected 'p <edgeId> E|O'"),
             ("cover 1\np 0\n", 2, "expected 'p <edgeId> E|O'"),
             ("cover 1\np x E\n", 2, "edge id is not an integer: 'x'"),
+            # ASCII decimal only: int() alone takes all three of these
+            ("cover 1_0\n", 1, "edge count is not an integer: '1_0'"),
+            ("cover \uff12\np 0 E\n", 1, "edge count is not an integer: '\uff12'"),
+            ("cover 12\np 1_0 E\n", 2, "edge id is not an integer: '1_0'"),
+            ("cover 2\np \u0661 E\n", 2, "edge id is not an integer: '\u0661'"),
+            ("cover 3\np \uff12 E\n", 2, "edge id is not an integer: '\uff12'"),
             ("cover 1\np 1 E\n", 2, "edge id out of range [0, 1)"),
             ("cover 2\np 0 E\n\np 0 O\n", 4, "duplicate parity for edge 0"),
             ("cover 1\np 0 X\n", 2, "parity must be 'E' or 'O', got 'X'"),

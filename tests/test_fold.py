@@ -45,6 +45,7 @@ from dpcolor import (
     is_critical,
     solver,
 )
+from dpcolor.cover import _caps
 
 CELLS = [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2), (2, 4)]
 KERNEL_SETTINGS = settings(
@@ -75,7 +76,7 @@ class TestFold:
     def test_flags_leave_and_lower_their_base(self):
         # two flags at vertex 1 of an edge 01
         g = Multigraph(4, [(0, 1), (1, 2), (2, 1), (3, 1), (1, 3)])
-        h, caps, bases, _ = solver._fold(g, solver._caps(DefectParams(1, 2), Toughness.zero(4)))
+        h, caps, bases, _ = solver._fold(g, _caps(DefectParams(1, 2), Toughness.zero(4)))
         assert h == Multigraph(2, [(0, 1)])
         assert caps == [(2, 1), (0, -1)]
         assert bases == [1]
@@ -84,13 +85,13 @@ class TestFold:
         # the same graph under the prefix O, E, E, E: flag 2's edges agree,
         # flag 3 has one edge undecided, and H keeps the edge 01's parity
         g = Multigraph(4, [(0, 1), (1, 2), (2, 1), (3, 1), (1, 3)])
-        caps = solver._caps(DefectParams(1, 2), Toughness.zero(4))
+        caps = _caps(DefectParams(1, 2), Toughness.zero(4))
         _, h_caps, bases, h_fixed = solver._fold(g, caps, [1, 0, 0, 0])
         assert (h_caps, bases, h_fixed) == ([(2, 1), (1, 0)], [1], [1])
 
     def test_a_bare_digon_folds_one_end(self):
         g = Multigraph(2, [(0, 1)] * 2)
-        h, caps, bases, _ = solver._fold(g, solver._caps(DefectParams(1, 1), Toughness.zero(2)))
+        h, caps, bases, _ = solver._fold(g, _caps(DefectParams(1, 1), Toughness.zero(2)))
         assert h == Multigraph(1, ())
         assert caps == [(0, 0)] and bases == [0]
 
@@ -104,12 +105,12 @@ class TestFold:
     )
     def test_a_flag_needs_both_caps_and_one_above_zero(self, t):
         g = Multigraph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2)])
-        h, _, bases, _ = solver._fold(g, solver._caps(DefectParams(1, 2), t))
+        h, _, bases, _ = solver._fold(g, _caps(DefectParams(1, 2), t))
         assert (h, bases) == (g, [])
 
     def test_folding_shrinks_the_families(self):
         inst = build_family("iplusone", 1, None, 1)
-        h, _, _, _ = solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))
+        h, _, _, _ = solver._fold(inst.graph, _caps(inst.params, Toughness.zero(inst.graph.n)))
         assert (inst.graph.n, len(inst.graph.edges)) == (17, 24)
         assert (h.n, len(h.edges)) == (9, 8)
 
@@ -152,7 +153,7 @@ def test_a_prefix_folds_into_the_flags_it_decides(kernel, g, params, data):
     # under _fold's caps for that partial cover
     t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
     fixed = data.draw(st.lists(st.sampled_from((None, 0, 1)), max_size=len(g.edges)))
-    h, caps, _, h_fixed = solver._fold(g, solver._caps(params, t), fixed)
+    h, caps, _, h_fixed = solver._fold(g, _caps(params, t), fixed)
     every = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
     expect = any(all(f is None or f == b for f, b in zip(fixed, bits)) for bits in every)
     assert (next(solver._kernel(h, caps, fixed=h_fixed)[0], None) is not None) == expect
@@ -173,7 +174,7 @@ def test_switching_keeps_every_answer(kernel, g, params, data):
     # them and flags keep their bases, while pair toughness takes some out
     t = data.draw(st.one_of(st.just(Toughness.zero(g.n)), toughness_for(g.n, params)))
     fixed = data.draw(st.lists(st.sampled_from((None, 0, 1)), max_size=len(g.edges)))
-    h, caps, bases, h_fixed = solver._core(g, solver._caps(params, t), fixed)
+    h, caps, bases, h_fixed = solver._core(g, _caps(params, t), fixed)
     every = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
     expect = any(all(f is None or f == b for f, b in zip(fixed, bits)) for bits in every)
     assert (next(solver._kernel(h, caps, bases, fixed=h_fixed)[0], None) is not None) == expect
@@ -192,7 +193,7 @@ def test_switching_fixes_all_but_one_edge_of_a_cycle_with_flags(monkeypatch):
 
     inst = build_family("equal", 1, None, 8)
     _, core_caps, _, core_fixed = solver._core(
-        inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n))
+        inst.graph, _caps(inst.params, Toughness.zero(inst.graph.n))
     )
     assert core_fixed.count(None) == 1
     monkeypatch.setattr(solver._Search, "run", counted)
@@ -331,7 +332,7 @@ class TestFoldBlocks:
     def test_zeroj_folds_to_its_cycle_and_one_gadget_per_triangle(self, j, m):
         inst = build_family("zeroj", None, j, m)
         h, caps, bases, _ = solver._fold_blocks(
-            *solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))
+            *solver._fold(inst.graph, _caps(inst.params, Toughness.zero(inst.graph.n)))
         )
         cycle = [(v, v + 1) for v in range(m)] + [(m, 0)]
         assert h == Multigraph(m + 1 + j, cycle + [(m + 1 + k, 0) for k in range(j)])
@@ -342,7 +343,7 @@ class TestFoldBlocks:
         # 4-cycle itself hangs from that gadget and folds in turn
         inst = build_family("zeroj", None, 1, 3)
         h, caps, _, _ = solver._fold_blocks(
-            *solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))
+            *solver._fold(inst.graph, _caps(inst.params, Toughness.zero(inst.graph.n)))
         )
         assert (h, caps) == (Multigraph(2, [(1, 0)]), [(0, -1), (0, -1)])
 
@@ -350,7 +351,7 @@ class TestFoldBlocks:
 def test_small_graphs_skip_the_probes():
     # zeroj j = 1, m = 2 has 7 edges, below _BLOCK_MIN_EDGES: nothing folds
     inst = build_family("zeroj", None, 1, 2)
-    folded = solver._fold(inst.graph, solver._caps(inst.params, Toughness.zero(inst.graph.n)))
+    folded = solver._fold(inst.graph, _caps(inst.params, Toughness.zero(inst.graph.n)))
     assert solver._fold_blocks(*folded) == folded
 
 
@@ -389,7 +390,7 @@ def test_a_prefix_folds_only_the_blocks_it_leaves_free(kernel, g, cell, data):
     fixed = data.draw(st.lists(st.sampled_from((None, 0, 1)), max_size=len(g.edges)))
     every = oracles.bad_covers(g.n, list(g.edges), params.i, params.j, list(t.poor), list(t.rich))
     for k in range(len(fixed) + 1):
-        h, caps, _, h_fixed = solver._core(g, solver._caps(params, t), fixed[:k])
+        h, caps, _, h_fixed = solver._core(g, _caps(params, t), fixed[:k])
         expect = any(all(f is None or f == b for f, b in zip(fixed[:k], bits)) for bits in every)
         assert (next(solver._kernel(h, caps, fixed=h_fixed)[0], None) is not None) == expect
 

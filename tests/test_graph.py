@@ -210,6 +210,16 @@ class TestFileFormat:
         ("graph 2\ngraph 3\n", 2, "duplicate 'graph' header"),
         ("graph\n", 1, "expected 'graph <n>'"),
         ("graph two\n", 1, "vertex count is not an integer: 'two'"),
+        # counts, ids and toughness are ASCII decimal: int() alone takes all three of these
+        ("graph 1_0\n", 1, "vertex count is not an integer: '1_0'"),
+        ("graph \u0661\n", 1, "vertex count is not an integer: '\u0661'"),
+        ("graph \uff12\n", 1, "vertex count is not an integer: '\uff12'"),
+        ("graph 12\ne 1_0 1\n", 2, "endpoint is not an integer: '1_0'"),
+        ("graph 2\ne 0 \u0661\n", 2, "endpoint is not an integer: '\u0661'"),
+        ("graph 3\ne \uff12 0\n", 2, "endpoint is not an integer: '\uff12'"),
+        ("graph 2\nt 0 1_0\n", 2, "toughness is not an integer: '1_0'"),
+        ("graph 2\nt 0 \u0661\n", 2, "toughness is not an integer: '\u0661'"),
+        ("graph 2\nt2 0 \uff12 0\n", 2, "poor toughness is not an integer: '\uff12'"),
         ("graph -1\n", 1, "vertex count must be non-negative"),
         ("# first\ne 0 1\n", 2, "expected 'graph <n>' before 'e'"),
         ("graph 2\ne 0\n", 2, "expected 'e <u> <v>'"),
@@ -247,6 +257,7 @@ def test_each_malformed_graph_line_is_named(text, line, message):
         (lambda: Toughness((0,), (0, 0), True), "poor and rich vectors must have equal length"),
         (lambda: Toughness((0,), (1,)), "scalar toughness must agree on both sides"),
         (lambda: Multigraph(-1, ()), "vertex count must be non-negative"),
+        (lambda: Multigraph(2, ()).degree(-1), "vertex -1 out of range [0, 2)"),
         (lambda: Multigraph(2, ()).induced_subgraph([0, 2]), "vertex 2 out of range [0, 2)"),
         (
             lambda: format_graph(Multigraph(2, ()), Toughness.zero(3)),
@@ -258,6 +269,7 @@ def test_each_malformed_graph_line_is_named(text, line, message):
         "toughness-lengths",
         "scalar-sides",
         "negative-n",
+        "degree-vertex",
         "induced-vertex",
         "format-toughness",
         "comment-only-graph-text",
@@ -267,3 +279,26 @@ def test_each_bad_argument_is_named(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_defect_params_refuse_non_integers():
+    for i, j in ((0.5, 1.5), (0, 2.0), ("0", 1)):
+        with pytest.raises(TypeError):
+            DefectParams(i, j)
+    assert DefectParams(False, True) == DefectParams(0, 1)
+
+
+def test_toughness_refuses_non_integers():
+    for values in ([0.7, 1.2], [0, "1"]):
+        with pytest.raises(TypeError):
+            Toughness.scalar(values)
+    with pytest.raises(TypeError):
+        Toughness.pairs([(0, 1.0)])
+    assert Toughness.scalar([True, 0]).poor == (1, 0)
+
+
+def test_multigraph_refuses_non_integer_endpoints():
+    for edges in ([(0, 1.9)], [("0", "1")]):
+        with pytest.raises(TypeError):
+            Multigraph(3, edges)
+    assert Multigraph(3, [(True, 2)]).edges == ((1, 2),)

@@ -338,6 +338,14 @@ def test_regime_table_matches_closed_forms():
 def test_error_messages_without_a_row_or_potential():
     with pytest.raises(ValueError, match="^regime equal has no potential$"):
         rho_set(Multigraph(1, ()), DefectParams(1, 1), Toughness.zero(1), ())
+    with pytest.raises(ValueError, match="^regime equal has no potential$"):
+        rho_vertex(DefectParams(1, 1), Toughness.zero(1), 0)
+    with pytest.raises(ValueError, match="^regime equal has no potential$"):
+        rho_graph(Multigraph(1, ()), DefectParams(1, 1))
+    with pytest.raises(ValueError, match="^regime equal has no scalar potential constants$"):
+        weight_w(DefectParams(1, 1), 0)
+    with pytest.raises(ValueError, match="^regime i_plus_one has no scalar potential constants$"):
+        scalar_constants(DefectParams(1, 2))
     p = DefectParams(0, 0)
     with pytest.raises(ValueError, match=r"^no edge bound for \(0, 0\)$"):
         edge_bound(p, 1)

@@ -37,6 +37,7 @@ from dpcolor import (
     partition_witness,
     solver,
 )
+from dpcolor.cover import _caps
 
 E, O = Parity.EVEN, Parity.ODD
 TRIPLE = Multigraph(2, [(0, 1)] * 3)
@@ -69,7 +70,7 @@ class TestExhaustive:
 
     def test_size_limit(self):
         g = Multigraph(5, ())
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="^graph has 5 vertices, limit is 4$"):
             exhaustive_color(g, Cover(()), DefectParams(0, 0), max_vertices=4)
 
     def test_cover_dimension_mismatch(self):
@@ -117,7 +118,7 @@ def test_exhaustive_folds_flags_and_keeps_the_witness(g, params, data):
     assert (fast is not None) == oracles.cover_colorable(
         g.n, list(g.edges), bits, params.i, params.j, t.poor, t.rich
     )
-    sides = solver._Search(g).run(bits, solver._caps(params, t))
+    sides = solver._Search(g).run(bits, _caps(params, t))
     assert (fast and [int(s) for s in fast.sides]) == sides
 
 
@@ -257,7 +258,7 @@ def assert_kernel_contract(
 ) -> None:
     # _kernel yields exactly the oracle's bad covers that extend fixed and sort
     # each free bundle, in lex order; sorting any bad cover's bundles gives one
-    bad = [list(bits) for bits in solver._kernel(g, solver._caps(params, t), fixed=fixed)[0]]
+    bad = [list(bits) for bits in solver._kernel(g, _caps(params, t), fixed=fixed)[0]]
     edges = list(g.edges)
     every = oracles.bad_covers(g.n, edges, params.i, params.j, list(t.poor), list(t.rich))
     extending = [bits for bits in every if all(f is None or f == b for f, b in zip(fixed, bits))]
@@ -312,7 +313,7 @@ def test_every_cover_that_sorts_its_bundles_comes_in_lex_order(kernel):
 def test_deletion_check_matches_oracle(kernel, g, params, data):
     t = data.draw(toughness_for(g.n, params))
     edges = list(g.edges)
-    bad_covers, deletions_colorable = solver._kernel(g, solver._caps(params, t))
+    bad_covers, deletions_colorable = solver._kernel(g, _caps(params, t))
     for bits in bad_covers:
         expect = all(
             oracles.cover_colorable(
@@ -342,7 +343,7 @@ def test_base_relaxation_check_matches_oracle(kernel, g, params, data):
         poor[v], rich[v] = params.i + 1, params.j + 1
     bases = sorted({g.n - 1, *data.draw(st.lists(st.integers(0, g.n - 1)))})
     edges = list(g.edges)
-    caps = solver._caps(params, Toughness.pairs(zip(poor, rich)))
+    caps = _caps(params, Toughness.pairs(zip(poor, rich)))
     bad_covers, deletions_colorable = solver._kernel(g, caps, bases)
     for bits in bad_covers:
         deletions = all(
@@ -396,7 +397,7 @@ def test_deletion_check_matches_oracle_on_every_small_multiset(kernel):
             for edges in combinations_with_replacement(pairs, m):
                 for i, j in ((0, 1), (0, 2), (1, 1), (1, 2)):
                     g = Multigraph(n, edges)
-                    caps = solver._caps(DefectParams(i, j), Toughness.zero(n))
+                    caps = _caps(DefectParams(i, j), Toughness.zero(n))
                     for bases in [(), *((b,) for b in range(n))]:
                         bad_covers, deletions_colorable = solver._kernel(g, caps, bases)
                         for bits in bad_covers:
@@ -492,7 +493,7 @@ class TestPartitionWitness:
             partition_witness(TRIPLE, 0, set())
         with pytest.raises(ValueError):
             partition_witness(TRIPLE, 0, {0, 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex 5 out of range \[0, 2\)$"):
             partition_witness(TRIPLE, 0, {5})
 
 
