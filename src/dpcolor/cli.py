@@ -15,37 +15,20 @@ from fractions import Fraction
 from typing import Callable
 
 from .constructions import FAMILIES, CountMismatch, build_family
-from .cover import DEFAULT_MAX_COVERS, _check_covers, load_cover, save_cover
-from .critical import (
-    DEFAULT_MAX_SEARCH_EDGES,
-    DEFAULT_MAX_SEARCH_VERTICES as SEARCH_MAX_VERTICES,
-    _first_level,
-    fdp_search,
-    is_critical,
-)
+from .cover import _check_covers, load_cover, save_cover
+from .critical import DEFAULT_MAX_SEARCH_EDGES, _first_level, fdp_search, is_critical
 from .graph import (
     BudgetError,
     DefectParams,
     FormatError,
     Multigraph,
     Toughness,
+    _is_int,
     load_graph,
     save_graph,
 )
-from .potential import (
-    _POTENTIAL_REGIMES,
-    DEFAULT_MAX_VERTICES as POTENTIAL_MAX_VERTICES,
-    edge_bound,
-    potential_threshold,
-    regime,
-    rho_graph,
-)
-from .solver import (
-    DEFAULT_MAX_VERTICES as SOLVER_MAX_VERTICES,
-    exhaustive_color,
-    greedy_color,
-    is_colorable,
-)
+from .potential import _POTENTIAL_REGIMES, edge_bound, potential_threshold, regime, rho_graph
+from .solver import exhaustive_color, greedy_color, is_colorable
 from .sparsity import violating_subset
 
 VERIFY_MAX_COVERS = 2**12
@@ -53,16 +36,16 @@ VERIFY_MAX_COVERS = 2**12
 
 def _add_flags(sp: argparse.ArgumentParser, *names: str, lists: bool = False) -> None:
     """Declare the named flags on one subcommand, then --threads, which all take."""
-    kind = _int_list if lists else int
+    kind = _int_list if lists else _int
     specs = {
         "--i": dict(type=kind, help="poor defect bound"),
         "--j": dict(type=kind, help="rich defect bound"),
         "--m": dict(type=kind, help="family size parameter"),
         "--graph": dict(help="graph file path"),
         "--cover": dict(help="cover file path"),
-        "--max-covers": dict(type=int, help="refuse enumerations beyond this many covers"),
+        "--max-covers": dict(type=_int, help="refuse enumerations beyond this many covers"),
         "--max-n": dict(
-            type=int,
+            type=_int,
             help="refuse per-vertex enumerations beyond this many vertices "
             "(defaults to each operation's own limit)",
         ),
@@ -71,16 +54,23 @@ def _add_flags(sp: argparse.ArgumentParser, *names: str, lists: bool = False) ->
         sp.add_argument(name, default=None, **specs[name])
     sp.add_argument(
         "--threads",
-        type=int,
+        type=_int,
         default=1,
         help="accepted for compatibility; dpcolor computes on one thread",
     )
 
 
+def _int(text: str) -> int:
+    """An integer flag, by the rule the graph and cover files follow."""
+    if not _is_int(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
+        values = [_int(part) for part in text.split(",") if part != ""]
+    except argparse.ArgumentTypeError:
         values = []
     if not values:  # an empty grid would verify nothing and pass
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
@@ -117,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_flags(potential, "--i", "--j", "--graph", "--max-n")
 
     fdp = sub.add_parser("fdp", help="mine the minimum critical edge count")
-    fdp.add_argument("--n", type=int, required=True, help="vertex count")
-    fdp.add_argument("--max-edges", type=int, default=DEFAULT_MAX_SEARCH_EDGES)
+    fdp.add_argument("--n", type=_int, required=True, help="vertex count")
+    fdp.add_argument("--max-edges", type=_int, default=DEFAULT_MAX_SEARCH_EDGES)
     _add_flags(fdp, "--i", "--j", "--max-covers", "--max-n")
 
     sparsity = sub.add_parser("sparsity", help="check the colorability guarantee")
@@ -144,12 +134,10 @@ def _load(args) -> tuple[Multigraph, Toughness | None]:
     return load_graph(_require(args.graph, "--graph"))
 
 
-def _max_covers(args, default: int = DEFAULT_MAX_COVERS) -> int:
-    return default if args.max_covers is None else args.max_covers
-
-
-def _max_n(args, default: int) -> int:
-    return default if args.max_n is None else args.max_n
+def _given(**limits: int | None) -> dict[str, int]:
+    """The limit keywords whose flags were set: an operation keeps its own
+    default for each flag left out."""
+    return {name: value for name, value in limits.items() if value is not None}
 
 
 def _cmd_gen(args) -> int:
@@ -180,7 +168,7 @@ def _cmd_color(args) -> int:
             print("GREEDY FAILED")
             return 0
     else:
-        phi = exhaustive_color(g, c, params, t, max_vertices=_max_n(args, SOLVER_MAX_VERTICES))
+        phi = exhaustive_color(g, c, params, t, **_given(max_vertices=args.max_n))
         if phi is None:
             print("UNCOLORABLE")
             return 0
@@ -191,7 +179,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_colorable(args) -> int:
     g, t = _load(args)
-    ok, witness = is_colorable(g, _params(args), t, max_covers=_max_covers(args))
+    ok, witness = is_colorable(g, _params(args), t, **_given(max_covers=args.max_covers))
     if ok:
         print("COLORABLE")
     else:
@@ -202,7 +190,7 @@ def _cmd_colorable(args) -> int:
 
 def _cmd_critical(args) -> int:
     g, t = _load(args)
-    ok = is_critical(g, _params(args), t, max_covers=_max_covers(args))
+    ok = is_critical(g, _params(args), t, **_given(max_covers=args.max_covers))
     print("CRITICAL" if ok else "NOT CRITICAL")
     return 0
 
@@ -210,7 +198,7 @@ def _cmd_critical(args) -> int:
 def _cmd_potential(args) -> int:
     g, t = _load(args)
     params = _params(args)
-    value, argmin = rho_graph(g, params, t, max_vertices=_max_n(args, POTENTIAL_MAX_VERTICES))
+    value, argmin = rho_graph(g, params, t, **_given(max_vertices=args.max_n))
     print(f"regime {regime(params).value}")
     print(f"rho {value}")
     print(f"argmin {' '.join(str(v) for v in sorted(argmin))}")
@@ -223,8 +211,7 @@ def _cmd_fdp(args) -> int:
         params,
         args.n,
         args.max_edges,
-        max_vertices=_max_n(args, SEARCH_MAX_VERTICES),
-        max_covers=_max_covers(args),
+        **_given(max_vertices=args.max_n, max_covers=args.max_covers),
     )
     if found is None:
         print("NONE")
@@ -246,7 +233,7 @@ def _cmd_fdp(args) -> int:
 def _cmd_sparsity(args) -> int:
     g, _ = _load(args)
     params = _params(args)
-    bad = violating_subset(g, params, max_vertices=_max_n(args, POTENTIAL_MAX_VERTICES))
+    bad = violating_subset(g, params, **_given(max_vertices=args.max_n))
     if bad is None:
         print("GUARANTEE")
     else:
@@ -263,7 +250,7 @@ def _verdict(check: Callable[[], bool]) -> str:
         return "SKIP"
 
 
-def _verify_cell(inst, max_covers: int, badcover_n: int, potential_n: int) -> dict[str, str]:
+def _verify_cell(inst, max_covers: int, vertex_limit: dict[str, int]) -> dict[str, str]:
     params = inst.params
     g = inst.graph
     cells: dict[str, str] = {}
@@ -274,7 +261,7 @@ def _verify_cell(inst, max_covers: int, badcover_n: int, potential_n: int) -> di
     )
     cells["sharp"] = "PASS" if Fraction(len(g.edges)) == edge_bound(params, g.n) else "FAIL"
     cells["badcover"] = _verdict(
-        lambda: exhaustive_color(g, inst.bad_cover, params, max_vertices=badcover_n) is None
+        lambda: exhaustive_color(g, inst.bad_cover, params, **vertex_limit) is None
     )
 
     def critical() -> bool:
@@ -288,7 +275,7 @@ def _verify_cell(inst, max_covers: int, badcover_n: int, potential_n: int) -> di
         cells["potential"] = "-"
     else:
         cells["potential"] = _verdict(
-            lambda: rho_graph(g, params, max_vertices=potential_n)[0]
+            lambda: rho_graph(g, params, **vertex_limit)[0]
             <= potential_threshold(params)
         )
     return cells
@@ -299,9 +286,8 @@ def _cmd_verify(args) -> int:
     i_list = args.i if args.i is not None else [None]
     j_list = args.j if args.j is not None else [None]
     m_list = _require(args.m, "--m")
-    max_covers = _max_covers(args, VERIFY_MAX_COVERS)
-    badcover_n = _max_n(args, SOLVER_MAX_VERTICES)
-    potential_n = _max_n(args, POTENTIAL_MAX_VERTICES)
+    max_covers = VERIFY_MAX_COVERS if args.max_covers is None else args.max_covers
+    vertex_limit = _given(max_vertices=args.max_n)
 
     failures = 0
     skips = 0
@@ -310,7 +296,7 @@ def _cmd_verify(args) -> int:
         for j in j_list:
             for m in m_list:
                 inst = build_family(family, i, j, m)
-                cells = _verify_cell(inst, max_covers, badcover_n, potential_n)
+                cells = _verify_cell(inst, max_covers, vertex_limit)
                 rows += 1
                 failures += sum(1 for v in cells.values() if v == "FAIL")
                 skips += sum(1 for v in cells.values() if v == "SKIP")

@@ -175,15 +175,18 @@ class Multigraph:
         return inc
 
 
+def _is_int(token: str) -> bool:
+    """Whether token is an optional sign, then ASCII digits, as format_graph
+    and format_cover write integers; int() alone also takes '1_0', spaces
+    and other scripts' digits."""
+    digits = token[1:] if token.startswith(("+", "-")) else token
+    return digits.isascii() and digits.isdigit()
+
+
 def _int_field(token: str, lineno: int, what: str) -> int:
-    """An optional sign and ASCII digits, as format_graph and format_cover
-    write them; int() alone also takes '1_0' and other scripts' digits."""
-    if token.isascii() and "_" not in token:
-        try:
-            return int(token)
-        except ValueError:
-            pass
-    raise FormatError(f"line {lineno}: {what} is not an integer: {token!r}")
+    if not _is_int(token):
+        raise FormatError(f"line {lineno}: {what} is not an integer: {token!r}")
+    return int(token)
 
 
 def _lines(

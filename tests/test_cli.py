@@ -18,7 +18,7 @@ from dpcolor import (
     save_cover,
     save_graph,
 )
-from dpcolor import constructions
+from dpcolor import cli, constructions
 from dpcolor.cli import _build_parser, main
 
 
@@ -287,11 +287,11 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0].endswith("badcover=SKIP critical=PASS potential=SKIP")
 
-    def test_missing_grid_flag(self, capsys):
-        code, _, err = run(capsys, "verify", "--family", "zeroj", "--j", "1")
-        assert code == 2 and "--m" in err
+    def test_potential_is_dashed_outside_its_regimes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "equal", "--i", "1", "--m", "1")
+        assert code == 0 and out.splitlines()[0].endswith(" potential=-")
 
-    @pytest.mark.parametrize("m", ["", ",", "1,x"])
+    @pytest.mark.parametrize("m", ["", ",", "1,x", "1,1_0", "1,\u0663"])
     def test_a_grid_with_no_integer_is_refused(self, capsys, m):
         # an empty grid would verify no row and pass; a non-integer is refused the same way
         with pytest.raises(SystemExit) as exc:
@@ -299,6 +299,59 @@ class TestVerify:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert f"argument --m: expected comma-separated integers, got {m!r}" in err
+
+
+# per command, a run that leaves out one flag its handler requires
+MISSING_FLAGS = [
+    ("colorable", ["--graph", "{g}", "--j", "1"], "--i"),
+    ("potential", ["--graph", "{g}", "--i", "0"], "--j"),
+    ("critical", ["--i", "0", "--j", "1"], "--graph"),
+    ("color", ["--graph", "{g}", "--i", "0", "--j", "0"], "--cover"),
+    ("verify", ["--family", "zeroj", "--j", "1"], "--m"),
+]
+
+
+@pytest.mark.parametrize("command, argv, flag", MISSING_FLAGS, ids=[c for c, _, _ in MISSING_FLAGS])
+def test_missing_required_flag(capsys, tmp_path, command, argv, flag):
+    path = str(tmp_path / "g")
+    save_graph(path, Multigraph(2, ((0, 1),)))
+    argv = [a.format(g=path) for a in argv]
+    assert run(capsys, command, *argv) == (2, "", f"error: missing required flag {flag}\n")
+
+
+# per flag, a command that takes it and the other flags that command needs
+INT_FLAGS = [
+    ("fdp", ["--i", "0", "--j", "1"], "--n"),
+    ("fdp", ["--n", "3", "--i", "0", "--j", "1"], "--max-edges"),
+    ("colorable", ["--graph", "g", "--j", "1"], "--i"),
+    ("potential", ["--graph", "g", "--i", "0"], "--j"),
+    ("critical", ["--graph", "g", "--i", "0", "--j", "1"], "--max-covers"),
+    ("color", ["--graph", "g", "--cover", "c", "--i", "0", "--j", "0"], "--max-n"),
+    ("sparsity", ["--graph", "g", "--i", "0", "--j", "1"], "--threads"),
+]
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff12"])
+@pytest.mark.parametrize("command, argv, flag", INT_FLAGS, ids=[f for _, _, f in INT_FLAGS])
+def test_integer_flags_take_only_ascii_decimals(capsys, command, argv, flag, token):
+    # the rule the graph and cover files follow: int() alone would read each token
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, flag, token])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.splitlines()[-1] == (
+        f"dpcolor {command}: error: argument {flag}: invalid int value: {token!r}"
+    )
+
+
+def test_absent_limit_flags_pass_no_keyword(capsys, monkeypatch):
+    # each operation keeps its own default limit unless its flag is given
+    seen = []
+    monkeypatch.setattr(cli, "fdp_search", lambda *args, **kwargs: seen.append(kwargs))
+    run(capsys, "fdp", "--n", "3", "--i", "0", "--j", "1")
+    run(capsys, "fdp", "--n", "3", "--i", "0", "--j", "1", "--max-n", "3")
+    run(capsys, "fdp", "--n", "3", "--i", "0", "--j", "1", "--max-covers", "8")
+    assert seen == [{}, {"max_vertices": 3}, {"max_covers": 8}]
 
 
 def test_successive_calls_share_no_state(capsys, tmp_path):
