@@ -3,10 +3,23 @@ graphs with up to solver._TREE_MAX_VERTICES vertices."""
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, Sequence
 
 from .cover import Caps
 from .graph import Multigraph
+
+
+@cache
+def _poor_masks(n: int) -> tuple[int, ...]:
+    """Per vertex v < n, the maps x (of 2^n) with bit v of x set: v's poor
+    side. They depend on n alone, so one memo serves the whole process."""
+    full = (1 << (1 << n)) - 1
+    poor = []
+    for v in range(n):
+        half = 1 << v  # bit v of a map index: 2^v zeros, then 2^v ones, repeated
+        poor.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+    return tuple(poor)
 
 
 class _CoverTree:
@@ -33,10 +46,7 @@ class _CoverTree:
     ) -> Iterator[tuple[int, ...]]:
         n, self.edges, self.choices, self.tie = g.n, g.edges, choices, tie
         self.full = full = (1 << (1 << n)) - 1
-        poor = []
-        for v in range(n):
-            half = 1 << v  # bit v of a map index: 2^v zeros, then 2^v ones, repeated
-            poor.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+        poor = _poor_masks(n)
         self.diff = [poor[u] ^ poor[w] for u, w in g.edges]
         # per vertex: poor maps, rich maps and the conflict count that breaks
         # each side's cap (0 for a side whose cap is negative)
@@ -53,15 +63,19 @@ class _CoverTree:
         self.bits = [0] * len(g.edges)
         # rest[k]: each vertex with d > 0 undecided edges at depth k, with its
         # masks and the counts that break its caps once d more conflicts come
-        self.rest: list[list[tuple[int, int, int, int, int]]] = [[]]
         deg = [0] * n
-        for u, w in reversed(g.edges):
+        for u, w in g.edges:
             deg[u] += 1
             deg[w] += 1
+        self.rest: list[list[tuple[int, int, int, int, int]]] = []
+        for u, w in g.edges:
             sides = zip(range(n), deg, self.sides)
-            self.rest.insert(
-                0, [(p, r, v, max(a - d, 0), max(b - d, 0)) for v, d, (p, r, a, b) in sides if d]
+            self.rest.append(
+                [(p, r, v, max(a - d, 0), max(b - d, 0)) for v, d, (p, r, a, b) in sides if d]
             )
+            deg[u] -= 1
+            deg[w] -= 1
+        self.rest.append([])
         yield from self.walk(0, self.start)
 
     def _allowed(self) -> list[int]:

@@ -268,10 +268,11 @@ def rho_graph(
     lexicographically smallest subset as a sorted id tuple: the shortest
     prefix of the greatest minimizer that reaches the minimum, as a vertex
     lies in some minimizer exactly when it lies in the greatest. If only the
-    empty set is one, n more cuts, warm-started from the first, force the
-    least vertex first. The empty set is excluded: its potential is always 0
-    and would clamp every threshold comparison. Graphs above max_vertices
-    (192 by default) are refused.
+    empty set is one, up to n more cuts, warm-started from the first, force
+    the least vertex first, v = 0, 1, ..., and stop at the first of value 1.
+    The empty set is excluded: its potential is always 0 and would clamp
+    every threshold comparison. Graphs above max_vertices (192 by default)
+    are refused.
     """
     _check_vertices(g.n, max_vertices)
     if g.n == 0:
@@ -286,8 +287,16 @@ def rho_graph(
     best, _, residual = cut.minimum((), ())
     top = cut.greatest(residual)
     if not top:
-        forced = (cut.minimum([v], range(v), residual) for v in range(g.n))
-        best, _, residual = min(forced, key=lambda found: found[0])
+        # every nonempty set is positive and potentials are integers, so no forced
+        # cut goes below 1, and the first to reach it is the one min would keep
+        least = None
+        for v in range(g.n):
+            found = cut.minimum([v], range(v), residual)
+            if least is None or found[0] < least[0]:
+                least = found
+            if found[0] == 1:
+                break
+        best, _, residual = least
         top = cut.greatest(residual)
     incident, inside = g.incidence(), [False] * g.n
     kept, value = [], 0

@@ -125,7 +125,7 @@ def _fold(
     fold, with no cascade; in a bare digon one end stays as the base. H keeps
     g's vertex and edge order, so a prefix of g's edges restricts to a prefix
     of H's, and the bases are H's ids of the vertices with a flag folded, in
-    ascending order.
+    ascending order. When no vertex folds, H is g itself.
     """
     flags: dict[int, int] = {}
     lower = [0] * g.n  # per base, what its caps go down by
@@ -137,6 +137,8 @@ def _fold(
             flags[x] = v
             p, q = (fixed[d] if d < len(fixed) else None for d in (e, f))
             lower[v] += p is None or p != q
+    if not flags:
+        return g, list(caps), [], list(fixed[: len(g.edges)])
     h, keep = g.induced_subgraph(v for v in range(g.n) if v not in flags)
     h_caps = [(caps[v][0] - lower[v], caps[v][1] - lower[v]) for v in keep]
     based = set(flags.values())
@@ -246,14 +248,20 @@ def _degree_first(g: Multigraph) -> tuple[Multigraph, list[int]]:
     parallel edges keep their order. So the edges among the busiest vertices
     are decided first, where the cover tree's caps and slack prune cut the
     most. Relabeling edges changes no verdict, only the order in which the
-    bad covers come.
+    bad covers come. When g's edges are already in that order, g itself
+    comes back.
     """
     rank = [0] * g.n
     for r, v in enumerate(_busiest_first(g.incidence())):
         rank[v] = r
-    order = sorted(
-        range(len(g.edges)), key=lambda e: sorted(map(rank.__getitem__, g.edges[e]), reverse=True)
-    )
+    keys = []
+    for u, w in g.edges:
+        ru, rw = rank[u], rank[w]
+        keys.append((ru, rw) if ru > rw else (rw, ru))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    identity = list(range(len(order)))
+    if order == identity:
+        return g, identity
     position = [0] * len(order)
     for k, e in enumerate(order):
         position[e] = k
@@ -447,11 +455,12 @@ def _kernel(
         (0, 1) if e >= len(fixed) or fixed[e] is None else (fixed[e],) for e in range(len(g.edges))
     ]
     tie: list[int | None] = [None] * len(choices)
-    last: dict[frozenset[int], int] = {}
-    for e, edge in enumerate(g.edges):
+    last: dict[tuple[int, int], int] = {}
+    for e, (u, w) in enumerate(g.edges):
         if len(choices[e]) == 2:
-            tie[e] = last.get(frozenset(edge))
-            last[frozenset(edge)] = e
+            ends = (u, w) if u < w else (w, u)
+            tie[e] = last.get(ends)
+            last[ends] = e
     if g.n <= _TREE_MAX_VERTICES:
         tree = _CoverTree()
         return tree.bad_covers(g, caps, bases, choices, tie), tree.deletions_colorable

@@ -108,6 +108,13 @@ class TestFold:
         h, _, bases, _ = solver._fold(g, _caps(DefectParams(1, 2), t))
         assert (h, bases) == (g, [])
 
+    def test_g_comes_back_when_nothing_folds(self):
+        g = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
+        caps = _caps(DefectParams(1, 2), Toughness.zero(3))
+        h, h_caps, bases, h_fixed = solver._fold(g, caps, [1, None, 0, 1])
+        assert h is g
+        assert (h_caps, bases, h_fixed) == (list(caps), [], [1, None, 0])
+
     def test_folding_shrinks_the_families(self):
         inst = build_family("iplusone", 1, None, 1)
         h, _, _, _ = solver._fold(inst.graph, _caps(inst.params, Toughness.zero(inst.graph.n)))
@@ -243,6 +250,28 @@ def test_degree_first_order_cuts_the_tree(monkeypatch):
     for seed in (1, 2, 3):
         assert is_colorable(chorded_cycle(seed, 14, 17), DefectParams(1, 2)) == (True, None)
     assert len(nodes) < 10_000
+
+
+def test_degree_first_hands_back_g_in_degree_first_order():
+    # every degree is 2, so the ranks are the ids and the keys (1, 0), (2, 0), (2, 1) ascend
+    g = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
+    h, position = solver._degree_first(g)
+    assert h is g and position == [0, 1, 2]
+
+
+def test_degree_first_reorders_an_involution():
+    # vertex 1 ranks first, so edge 01 comes first; the order [1, 0] is its own inverse
+    g = Multigraph(3, [(1, 2), (0, 1)])
+    assert solver._degree_first(g) == (Multigraph(3, [(0, 1), (1, 2)]), [1, 0])
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_the_poor_masks_hold_the_maps_with_bit_v(n):
+    masks = covertree._poor_masks(n)
+    assert type(masks) is tuple and len(masks) == n
+    for v, mask in enumerate(masks):
+        assert [mask >> x & 1 for x in range(1 << n)] == [x >> v & 1 for x in range(1 << n)]
+        assert mask >> (1 << n) == 0
 
 
 def test_the_witness_takes_no_scan_at_a_flags_first_edge(monkeypatch):

@@ -467,6 +467,20 @@ def test_rho_graph_falls_back_to_forced_cuts_when_every_set_is_positive(max_flow
         assert [warm for _, _, warm in max_flows] == [False] + [True] * g.n
 
 
+def test_rho_graph_stops_at_the_first_forced_cut_of_value_1(max_flows):
+    """At (0, 1) every nonempty set of a forest is positive, and vertex 0 alone has
+    potential 1, the least a forced cut can reach: the fallback stops after one cut."""
+    params = DefectParams(0, 1)
+    rng = random.Random(5)
+    for n in range(1, 13):
+        g = Multigraph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        t = Toughness.zero(n)
+        del max_flows[:]
+        value, argmin = rho_graph(g, params, t)
+        assert (value, tuple(sorted(argmin))) == _rho_oracle(g, params, t) == (1, (0,)), g
+        assert len(max_flows) == 2
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
